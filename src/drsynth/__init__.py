@@ -27,11 +27,10 @@ from .checkpoints import (
     DEFAULT_SWEEP,
     Checkpoint,
     interpolate,
-    interpolate_sweep,
     read_checkpoint,
     write_checkpoint,
 )
-from .config import RunConfig, apply_sections, config_sections, load_config, write_config
+from .config import apply_sections, config_sections, load_config, write_config
 from .epg import (
     EpgSequenceParams,
     ReferenceInterval,
@@ -107,7 +106,6 @@ __all__ = [
     "RelaxometryMode",
     "RelaxometryRanges",
     "ResolutionSim",
-    "RunConfig",
     "STAGE_IDS",
     "SamplePair",
     "SequenceRanges",
@@ -132,7 +130,6 @@ __all__ = [
     "hd95",
     "hd100",
     "interpolate",
-    "interpolate_sweep",
     "iter_samples",
     "jacobian_determinant",
     "load_config",

@@ -8,10 +8,10 @@ smooth Gaussian fields), gamma contrast, additive Gaussian noise,
 separable Gaussian blur, and acquisition-resolution simulation
 (FWHM-matched blur, downsample, upsample back to the source grid).
 
-Two named profiles bundle these: the full randomization chain used when
-rendering synthetic volumes (everything on, parameters drawn per sample)
-and a light chain for real images (each op gated at probability 0.5:
-affine, gamma, noise, blur, then a [0, 1] rescale).
+Two named profiles select which of these ``generator.generate_sample``
+applies: the full randomization chain (everything on, parameters drawn per
+sample) and a light chain (each of affine, gamma, noise and blur gated at
+probability 0.5, drawn up front as a ``SimplePlan``).
 
 All randomness comes through an explicit ``numpy.random.Generator`` and
 draws happen in a fixed order, so a stage is reproducible from its stream.
@@ -78,6 +78,14 @@ class AffineParams:
         m[:3, :3] = rot @ sh @ np.diag(self.scale)
         m[:3, 3] = self.translation
         return m
+
+    def as_dict(self) -> dict:
+        return {
+            "rotation": list(self.rotation),
+            "scale": list(self.scale),
+            "translation": list(self.translation),
+            "shear": list(self.shear),
+        }
 
 
 def draw_affine(ranges: AffineRanges, rng: np.random.Generator) -> AffineParams:
@@ -177,20 +185,6 @@ def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
     return _separable_linear(np.asarray(ctrl, dtype=np.float32), positions)
 
 
-def _warp_field(field_vox: np.ndarray, disp_vox: np.ndarray) -> np.ndarray:
-    """Sample a vector field at x + disp (voxel units, edge-clamped)."""
-    dims = field_vox.shape[:3]
-    coords = np.empty((3,) + dims, dtype=np.float32)
-    for i in range(3):
-        np.add(_axis_ramp(dims[i], i), disp_vox[..., i], out=coords[i])
-    out = np.empty_like(field_vox)
-    for ch in range(3):
-        out[..., ch] = ndimage.map_coordinates(
-            np.ascontiguousarray(field_vox[..., ch]), coords, order=1, mode="nearest"
-        )
-    return out
-
-
 def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
     """Integrate a stationary velocity field by scaling and squaring.
 
@@ -287,13 +281,6 @@ def draw_svf_deformation(dims, spacing, cfg: SvfConfig, rng: np.random.Generator
     mm on the full grid.
     """
     return svf_from_control(draw_svf_control(cfg, rng), dims, spacing, cfg.integration_steps)
-
-
-def compose_displacements(outer: DeformationField, inner: DeformationField, spacing) -> np.ndarray:
-    """Displacement (voxels) of applying ``inner`` then ``outer``."""
-    inner_vox = inner.as_voxels(spacing)
-    outer_vox = outer.as_voxels(spacing)
-    return _warp_field(outer_vox, inner_vox) + inner_vox
 
 
 def jacobian_determinant(field: DeformationField, spacing) -> np.ndarray:
@@ -557,12 +544,7 @@ class SimplePlan:
             "noise_sigma": self.noise_sigma,
         }
         if self.affine is not None:
-            out["affine"] = {
-                "rotation": list(self.affine.rotation),
-                "scale": list(self.affine.scale),
-                "translation": list(self.affine.translation),
-                "shear": list(self.affine.shear),
-            }
+            out["affine"] = self.affine.as_dict()
         if self.gamma is not None:
             out["gamma"] = self.gamma
         if self.blur_sigma_mm is not None:
@@ -591,68 +573,3 @@ def draw_simple_plan(
         noise_sigma=corruption.simple_noise_sigma,
         blur_sigma_mm=blur,
     )
-
-
-def apply_profile(
-    image: Volume3D,
-    labels: LabelMap | None,
-    profile: AugmentProfile,
-    rng: np.random.Generator,
-    *,
-    affine_ranges: AffineRanges = AffineRanges(),
-    svf: SvfConfig = SvfConfig(),
-    corruption: CorruptionConfig = CorruptionConfig(),
-    resolution: ResolutionSim = ResolutionSim(),
-):
-    """Run one augmentation profile on an (image, labels) pair.
-
-    SYNTHSEG_FULL always applies: joint affine + diffeomorphic warp, bias
-    field, gamma, noise, resolution simulation (randomized parameters).
-    SIMPLE gates affine/gamma/noise/blur each at probability 0.5 and ends
-    with a [0, 1] rescale.  Returns (image, labels, plan dict).
-    """
-    if profile is AugmentProfile.SIMPLE:
-        plan = draw_simple_plan(affine_ranges, corruption, rng)
-        if plan.apply_affine:
-            image = apply_transform(image, plan.affine, None)
-            if labels is not None:
-                labels = apply_transform(labels, plan.affine, None)
-        if plan.apply_gamma:
-            image = gamma_contrast(image, plan.gamma)
-        if plan.apply_noise:
-            image = add_gaussian_noise(image, plan.noise_sigma, rng)
-        if plan.apply_blur:
-            image = gaussian_blur(image, plan.blur_sigma_mm)
-        image = image.with_data(rescale_unit(image.data))
-        return image, labels, plan.as_dict()
-
-    if profile is not AugmentProfile.SYNTHSEG_FULL:
-        raise InvalidRange(f"unknown profile {profile!r}")
-
-    affine = draw_affine(affine_ranges, rng)
-    field = draw_svf_deformation(image.dims, image.spacing, svf, rng)
-    image = apply_transform(image, affine, field)
-    if labels is not None:
-        labels = apply_transform(labels, affine, field)
-    bias_ctrl = sample_bias_control(corruption, rng)
-    image = apply_bias_field(image, bias_field_from_control(bias_ctrl, image.dims))
-    gamma = float(rng.uniform(*corruption.gamma_range))
-    image = gamma_contrast(image, gamma)
-    noise_sigma = float(rng.uniform(*corruption.noise_sigma_range))
-    image = add_gaussian_noise(image, noise_sigma, rng)
-    target, axis = draw_resolution(resolution, image.spacing, rng)
-    image = simulate_resolution(image, target)
-    plan = {
-        "affine": {
-            "rotation": list(affine.rotation),
-            "scale": list(affine.scale),
-            "translation": list(affine.translation),
-            "shear": list(affine.shear),
-        },
-        "svf_sigma_vox": svf.sigma_vox,
-        "gamma": gamma,
-        "noise_sigma": noise_sigma,
-        "resolution_target_mm": list(target),
-        "slice_axis": axis,
-    }
-    return image, labels, plan

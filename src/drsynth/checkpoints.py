@@ -24,7 +24,6 @@ coefficient.
 
 from __future__ import annotations
 
-import os
 import struct
 from dataclasses import dataclass, field
 
@@ -38,6 +37,7 @@ from .errors import (
     IoError,
     TruncatedFile,
 )
+from .fileio import atomic_write
 
 MAGIC = b"WSOUP1\x00\x00"
 
@@ -148,20 +148,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
             parts.append(struct.pack("<I", len(raw)))
             parts.append(raw)
 
-    blob = b"".join(parts)
-    path = str(path)
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
+    atomic_write(path, b"".join(parts))
 
 DEFAULT_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 
@@ -196,8 +183,3 @@ def interpolate(a: Checkpoint, b: Checkpoint, alpha: float) -> Checkpoint:
             for n in a.tensors
         }
     return Checkpoint(tensors, metadata)
-
-
-def interpolate_sweep(a: Checkpoint, b: Checkpoint, alphas=DEFAULT_SWEEP) -> list[tuple[float, Checkpoint]]:
-    """Blend at several coefficients (default {0, 0.2, 0.5, 0.8, 1})."""
-    return [(float(al), interpolate(a, b, al)) for al in alphas]

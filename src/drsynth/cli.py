@@ -32,14 +32,22 @@ import numpy as np
 from .augment import AugmentProfile
 from .checkpoints import DEFAULT_SWEEP, interpolate, read_checkpoint, write_checkpoint
 from .config import apply_sections, config_sections, load_config
-from .epg import RelaxometryMode, draw_sequence, render_epg_volume, sample_relaxometry
-from .errors import ConfigError, DrsynthError, EmptySample, IoError
-from .generator import GenerationConfig, GeneratorMode, generate_sample
-from .labels import build_meta_classes, split_meta_classes, toy_label_map
+from .epg import draw_sequence, render_epg_volume, sample_relaxometry
+from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
+from .fileio import atomic_write
+from .generator import (
+    PHYSICS_MODES,
+    GenerationConfig,
+    GeneratorMode,
+    generate_sample,
+    partition_subclasses,
+    relaxometry_mode,
+)
+from .labels import toy_label_map
 from .metrics import batch_evaluate, report_rows
 from .nifti import read_nifti, write_nifti
 from .rng import make_stream
-from .volume import LabelMap, LabelScheme, Volume3D
+from .volume import LabelScheme
 
 SIDECAR_FORMAT = "drsynth-sample/1"
 
@@ -48,26 +56,18 @@ SIDECAR_FORMAT = "drsynth-sample/1"
 # shared plumbing
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise IoError(f"cannot write {path}: {exc}") from exc
-
-
 def _file_sha(path: str) -> str:
     h = hashlib.sha256()
     with open(path, "rb") as fh:
         for chunk in iter(lambda: fh.read(1 << 20), b""):
             h.update(chunk)
     return h.hexdigest()
+
+
+def _require_positive(**counts) -> None:
+    for name, value in counts.items():
+        if value < 1:
+            raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
 def _load_generation_config(args) -> GenerationConfig:
@@ -130,38 +130,45 @@ def _sample_basename(sid: str, index: int, seed: int) -> str:
 
 
 def _render_task(task):
-    """One generation unit, safe to run in a worker process."""
+    """One generation unit, safe to run in a worker process.
+
+    A package error is re-raised as the same type with the subject and
+    sample index prefixed to its message.
+    """
     sid, image_path, labels_path, cfg, index, out_dir = task
-    labels = read_nifti(labels_path, scheme=LabelScheme.FETA7)
-    intensity = read_nifti(image_path)
-    pair = generate_sample(labels, intensity, cfg, index, subject_id=sid)
+    try:
+        labels = read_nifti(labels_path, scheme=LabelScheme.FETA7)
+        intensity = read_nifti(image_path)
+        pair = generate_sample(labels, intensity, cfg, index, subject_id=sid)
 
-    base = _sample_basename(sid, index, cfg.master_seed)
-    out_image = os.path.join(out_dir, f"{base}_image.nii.gz")
-    out_labels = os.path.join(out_dir, f"{base}_labels.nii.gz")
-    out_sidecar = os.path.join(out_dir, f"{base}.json")
-    write_nifti(pair.image, out_image)
-    write_nifti(pair.labels, out_labels)
+        base = _sample_basename(sid, index, cfg.master_seed)
+        out_image = os.path.join(out_dir, f"{base}_image.nii.gz")
+        out_labels = os.path.join(out_dir, f"{base}_labels.nii.gz")
+        out_sidecar = os.path.join(out_dir, f"{base}.json")
+        write_nifti(pair.image, out_image)
+        write_nifti(pair.labels, out_labels)
 
-    sidecar = {
-        "format": SIDECAR_FORMAT,
-        "subject": sid,
-        "sample_index": index,
-        "master_seed": cfg.master_seed,
-        "inputs": {
-            "image": os.path.abspath(image_path),
-            "labels": os.path.abspath(labels_path),
-            "image_sha256": _file_sha(image_path),
-            "labels_sha256": _file_sha(labels_path),
-        },
-        "config": config_sections(cfg),
-        "outputs": {
-            "image": os.path.basename(out_image),
-            "labels": os.path.basename(out_labels),
-        },
-        "drawn": pair.provenance["drawn"],
-    }
-    _atomic_write_text(out_sidecar, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+        sidecar = {
+            "format": SIDECAR_FORMAT,
+            "subject": sid,
+            "sample_index": index,
+            "master_seed": cfg.master_seed,
+            "inputs": {
+                "image": os.path.abspath(image_path),
+                "labels": os.path.abspath(labels_path),
+                "image_sha256": _file_sha(image_path),
+                "labels_sha256": _file_sha(labels_path),
+            },
+            "config": config_sections(cfg),
+            "outputs": {
+                "image": os.path.basename(out_image),
+                "labels": os.path.basename(out_labels),
+            },
+            "drawn": pair.provenance["drawn"],
+        }
+        atomic_write(out_sidecar, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
+    except DrsynthError as exc:
+        raise type(exc)(f"subject '{sid}' sample {index}: {exc}") from exc
     return base
 
 
@@ -170,15 +177,20 @@ def render_from_sidecar(sidecar_path: str):
 
     Reads the recorded config and inputs, replays generation at the
     recorded (seed, sample index), and returns the SamplePair.  Output
-    volumes are bit-identical to the originally written files.
+    volumes are bit-identical to the originally written files.  An input
+    whose SHA-256 differs from the recorded one raises InputChanged.
     """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
     if sidecar.get("format") != SIDECAR_FORMAT:
         raise ConfigError(f"{sidecar_path}: not a {SIDECAR_FORMAT} sidecar")
     cfg = apply_sections(GenerationConfig(), sidecar["config"])
-    labels = read_nifti(sidecar["inputs"]["labels"], scheme=LabelScheme.FETA7)
-    intensity = read_nifti(sidecar["inputs"]["image"])
+    inputs = sidecar["inputs"]
+    labels = read_nifti(inputs["labels"], scheme=LabelScheme.FETA7)
+    intensity = read_nifti(inputs["image"])
+    for kind in ("labels", "image"):
+        if _file_sha(inputs[kind]) != inputs[f"{kind}_sha256"]:
+            raise InputChanged(f"{inputs[kind]}: SHA-256 differs from the one recorded in {sidecar_path}")
     return generate_sample(
         labels, intensity, cfg, sidecar["sample_index"], subject_id=sidecar["subject"]
     )
@@ -189,6 +201,7 @@ def render_from_sidecar(sidecar_path: str):
 
 
 def cmd_generate(args) -> int:
+    _require_positive(count=args.count, workers=args.workers)
     cfg = _load_generation_config(args)
     subjects = discover_subjects(args.in_dir, skip_unreadable=args.skip_unreadable)
     if not subjects:
@@ -262,6 +275,7 @@ def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_sam
 
 
 def cmd_bench(args) -> int:
+    _require_positive(samples=args.samples, epg_samples=args.epg_samples)
     cfg = _load_generation_config(args)
     subjects = discover_subjects(args.in_dir)
     if not subjects:
@@ -280,7 +294,7 @@ def cmd_bench(args) -> int:
             print(f"  {stage:<12} median {s['median_s']:.3f} s  p95 {s['p95_s']:.3f} s")
     print(f"epg/gmm wall ratio: {report['epg_over_gmm_wall_ratio']:.1f}x")
     if args.out:
-        _atomic_write_text(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
+        atomic_write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
         print(f"wrote {args.out}")
     return 0
 
@@ -357,7 +371,7 @@ def cmd_evaluate(args) -> int:
     batch = batch_evaluate(pairs)
     text = "\n".join("\t".join(row) for row in report_rows(batch)) + "\n"
     if args.out:
-        _atomic_write_text(args.out, text)
+        atomic_write(args.out, text)
         print(f"wrote {args.out}")
     else:
         sys.stdout.write(text)
@@ -366,19 +380,14 @@ def cmd_evaluate(args) -> int:
 
 def cmd_epg(args) -> int:
     cfg = _load_generation_config(args)
-    if cfg.mode not in (GeneratorMode.FABIAN, GeneratorMode.RANDFABIAN):
-        cfg = replace(cfg, mode=GeneratorMode.RANDFABIAN)
     if args.labels:
         labels = read_nifti(args.labels, scheme=LabelScheme.FETA7)
     else:
         labels = toy_label_map()
-    relax_mode = (
-        RelaxometryMode.REFERENCE if cfg.mode is GeneratorMode.FABIAN else RelaxometryMode.RANDOMIZED
-    )
     ids = [int(i) for i in np.unique(labels.data) if i != 0]
     seq = draw_sequence(cfg.sequence, make_stream(cfg.master_seed, 0, "sequence"))
     relax = sample_relaxometry(
-        relax_mode, cfg.relaxometry, ids, make_stream(cfg.master_seed, 0, "relaxometry")
+        relaxometry_mode(cfg.mode), cfg.relaxometry, ids, make_stream(cfg.master_seed, 0, "relaxometry")
     )
     image = render_epg_volume(labels, relax, seq, voxelwise=cfg.epg_voxelwise)
     write_nifti(image, args.out)
@@ -393,15 +402,7 @@ def cmd_cluster_inspect(args) -> int:
     cfg = _load_generation_config(args)
     labels = read_nifti(args.labels, scheme=LabelScheme.FETA7)
     intensity = read_nifti(args.image)
-    if cfg.mode is GeneratorMode.SYNTHSEG:
-        gen_labels = labels
-    else:
-        gen_labels = build_meta_classes(labels, intensity)
-    per_class = None
-    if cfg.mode is not GeneratorMode.SYNTHSEG and cfg.nonbrain_k_range is not None:
-        per_class = {4: cfg.nonbrain_k_range}
-    rng = make_stream(cfg.master_seed, 0, "subclass")
-    part = split_meta_classes(gen_labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
+    part = partition_subclasses(labels, intensity, cfg, make_stream(cfg.master_seed, 0, "subclass"))
 
     out_map = f"{args.out_prefix}_subclasses.nii.gz"
     write_nifti(part.subclass_map, out_map)
@@ -424,7 +425,7 @@ def cmd_cluster_inspect(args) -> int:
         },
     }
     out_json = f"{args.out_prefix}_fit.json"
-    _atomic_write_text(out_json, json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    atomic_write(out_json, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_map} and {out_json} ({part.n_subclasses} subclasses)")
     return 0
 
@@ -487,7 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("epg", help="render a spin-echo volume from a label map")
     add_common(p)
     p.add_argument("--labels", help="label map NIfTI (built-in toy map when omitted)")
-    p.add_argument("--mode", choices=["fabian", "randfabian"], help="relaxometry source")
+    p.add_argument("--mode", choices=[m.value for m in PHYSICS_MODES], help="relaxometry source")
     p.add_argument("--out", required=True, help="output NIfTI path")
     p.set_defaults(func=cmd_epg)
 

@@ -12,16 +12,16 @@ Loading starts from the package defaults and overrides whatever keys are
 present; unknown sections or keys are errors so typos cannot silently
 fall back to defaults.  ``config_sections`` emits every effective value,
 defaults included, which is what generation writes into provenance
-sidecars.
+sidecars.  Both directions are driven by one field table, ``_FIELDS``.
 """
 
 from __future__ import annotations
 
 import configparser
-from dataclasses import dataclass, replace
+from dataclasses import replace
 
-from .augment import AffineRanges, AugmentProfile, CorruptionConfig, ResolutionSim, SvfConfig
-from .epg import ReferenceInterval, RelaxometryRanges, SequenceRanges
+from .augment import AugmentProfile
+from .epg import ReferenceInterval
 from .errors import ConfigError
 from .generator import GenerationConfig, GeneratorMode
 
@@ -51,6 +51,22 @@ def _pair(text: str, ctx: str, cast=_float) -> tuple:
     return cast(toks[0], ctx), cast(toks[1], ctx)
 
 
+def _int_pair(text: str, ctx: str) -> tuple[int, int]:
+    return _pair(text, ctx, _int)
+
+
+def _optional(parse):
+    """Blank text means an unset optional key (None)."""
+    return lambda text, ctx: parse(text, ctx) if text.strip() else None
+
+
+def _slice_axis(text: str, ctx: str) -> int:
+    axis = _int(text, ctx)
+    if axis not in (0, 1, 2):
+        raise ConfigError(f"{ctx}: must be 0, 1, or 2, got {axis}")
+    return axis
+
+
 def _bool(text: str, ctx: str) -> bool:
     v = text.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -58,6 +74,17 @@ def _bool(text: str, ctx: str) -> bool:
     if v in ("0", "false", "no", "off"):
         return False
     raise ConfigError(f"{ctx}: expected a boolean, got {text!r}")
+
+
+def _enum(kind):
+    def parse(text: str, ctx: str):
+        try:
+            return kind(text.strip().lower())
+        except ValueError:
+            valid = ", ".join(m.value for m in kind)
+            raise ConfigError(f"{ctx}: {text!r} is not one of {valid}") from None
+
+    return parse
 
 
 def _interval(text: str, ctx: str) -> ReferenceInterval:
@@ -77,6 +104,14 @@ def _fmt_pair(pair) -> str:
     return f"{pair[0]!r}, {pair[1]!r}"
 
 
+def _fmt_int_pair(pair) -> str:
+    return "" if pair is None else f"{pair[0]}, {pair[1]}"
+
+
+def _fmt_optional(value) -> str:
+    return "" if value is None else str(value)
+
+
 def _fmt_interval(iv: ReferenceInterval) -> str:
     return (
         f"{iv.t1_ms[0]!r}:{iv.t1_ms[1]!r} "
@@ -85,52 +120,75 @@ def _fmt_interval(iv: ReferenceInterval) -> str:
     )
 
 
+# One row per config key: (section, key, GenerationConfig attribute path,
+# parse(text, ctx), format(value)).  Row order is the order keys are
+# written and applied.  A key ending in "_" is a per-class family over a
+# dict attribute: "reference_3" holds entry 3.
+_FIELDS = (
+    ("synthgen", "mode", "mode", _enum(GeneratorMode), lambda v: v.value),
+    ("synthgen", "profile", "profile", _enum(AugmentProfile), lambda v: v.value),
+    ("synthgen", "mu", "mu_range", _pair, _fmt_pair),
+    ("synthgen", "sigma", "sigma_range", _pair, _fmt_pair),
+    ("synthgen", "subclasses", "k_range", _int_pair, _fmt_int_pair),
+    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", _optional(_int_pair), _fmt_int_pair),
+    ("synthgen", "master_seed", "master_seed", _int, str),
+    ("augment", "rotation_rad", "affine.rotation_rad", _float, repr),
+    ("augment", "scale_delta", "affine.scale_delta", _float, repr),
+    ("augment", "translation_mm", "affine.translation_mm", _float, repr),
+    ("augment", "shear", "affine.shear", _float, repr),
+    ("augment", "svf_control_points", "svf.control_points", _int, str),
+    ("augment", "svf_sigma_vox", "svf.sigma_vox", _float, repr),
+    ("augment", "svf_steps", "svf.integration_steps", _int, str),
+    ("augment", "bias_control_points", "corruption.bias_control_points", _int, str),
+    ("augment", "bias_log_sigma", "corruption.bias_log_sigma", _float, repr),
+    ("augment", "gamma", "corruption.gamma_range", _pair, _fmt_pair),
+    ("augment", "noise_sigma", "corruption.noise_sigma_range", _pair, _fmt_pair),
+    ("augment", "blur_sigma_mm", "corruption.blur_sigma_mm_range", _pair, _fmt_pair),
+    ("augment", "simple_noise_sigma", "corruption.simple_noise_sigma", _float, repr),
+    ("augment", "op_probability", "corruption.op_probability", _float, repr),
+    ("augment", "inplane_mm", "resolution.inplane_range_mm", _pair, _fmt_pair),
+    ("augment", "thickness_mm", "resolution.thickness_range_mm", _pair, _fmt_pair),
+    ("augment", "slice_axis", "resolution.slice_axis", _optional(_slice_axis), _fmt_optional),
+    ("epg", "esp_ms", "sequence.esp_ms", _float, repr),
+    ("epg", "etl", "sequence.etl", _int, str),
+    ("epg", "excitation_deg", "sequence.excitation_deg", _float, repr),
+    ("epg", "refocus_deg", "sequence.refocus_range_deg", _pair, _fmt_pair),
+    ("epg", "te_eff_ms", "sequence.te_eff_range_ms", _pair, _fmt_pair),
+    ("epg", "voxelwise", "epg_voxelwise", _bool, lambda v: "true" if v else "false"),
+    ("epg", "t1_ms", "relaxometry.t1_range_ms", _pair, _fmt_pair),
+    ("epg", "t2_ms", "relaxometry.t2_range_ms", _pair, _fmt_pair),
+    ("epg", "pd", "relaxometry.pd_range", _pair, _fmt_pair),
+    ("epg", "reference_", "relaxometry.reference", _interval, _fmt_interval),
+)
+
+_KNOWN_KEYS = {sec: {key for s, key, *_ in _FIELDS if s == sec} for sec, *_ in _FIELDS}
+
+
+def _get(obj, path: str):
+    for attr in path.split("."):
+        obj = getattr(obj, attr)
+    return obj
+
+
+def _with(obj, path: str, value):
+    """A copy of frozen ``obj`` with the dotted attribute ``path`` replaced."""
+    head, _, rest = path.partition(".")
+    if rest:
+        value = _with(getattr(obj, head), rest, value)
+    return replace(obj, **{head: value})
+
+
 def config_sections(cfg: GenerationConfig) -> dict[str, dict[str, str]]:
     """Every effective value as section -> key -> string, defaults included."""
-    synthgen = {
-        "mode": cfg.mode.value,
-        "profile": cfg.profile.value,
-        "mu": _fmt_pair(cfg.mu_range),
-        "sigma": _fmt_pair(cfg.sigma_range),
-        "subclasses": f"{cfg.k_range[0]}, {cfg.k_range[1]}",
-        "nonbrain_subclasses": (
-            "" if cfg.nonbrain_k_range is None else f"{cfg.nonbrain_k_range[0]}, {cfg.nonbrain_k_range[1]}"
-        ),
-        "master_seed": str(cfg.master_seed),
-    }
-    aug = {
-        "rotation_rad": repr(cfg.affine.rotation_rad),
-        "scale_delta": repr(cfg.affine.scale_delta),
-        "translation_mm": repr(cfg.affine.translation_mm),
-        "shear": repr(cfg.affine.shear),
-        "svf_control_points": str(cfg.svf.control_points),
-        "svf_sigma_vox": repr(cfg.svf.sigma_vox),
-        "svf_steps": str(cfg.svf.integration_steps),
-        "bias_control_points": str(cfg.corruption.bias_control_points),
-        "bias_log_sigma": repr(cfg.corruption.bias_log_sigma),
-        "gamma": _fmt_pair(cfg.corruption.gamma_range),
-        "noise_sigma": _fmt_pair(cfg.corruption.noise_sigma_range),
-        "blur_sigma_mm": _fmt_pair(cfg.corruption.blur_sigma_mm_range),
-        "simple_noise_sigma": repr(cfg.corruption.simple_noise_sigma),
-        "op_probability": repr(cfg.corruption.op_probability),
-        "inplane_mm": _fmt_pair(cfg.resolution.inplane_range_mm),
-        "thickness_mm": _fmt_pair(cfg.resolution.thickness_range_mm),
-        "slice_axis": "" if cfg.resolution.slice_axis is None else str(cfg.resolution.slice_axis),
-    }
-    epg = {
-        "esp_ms": repr(cfg.sequence.esp_ms),
-        "etl": str(cfg.sequence.etl),
-        "excitation_deg": repr(cfg.sequence.excitation_deg),
-        "refocus_deg": _fmt_pair(cfg.sequence.refocus_range_deg),
-        "te_eff_ms": _fmt_pair(cfg.sequence.te_eff_range_ms),
-        "voxelwise": "true" if cfg.epg_voxelwise else "false",
-        "t1_ms": _fmt_pair(cfg.relaxometry.t1_range_ms),
-        "t2_ms": _fmt_pair(cfg.relaxometry.t2_range_ms),
-        "pd": _fmt_pair(cfg.relaxometry.pd_range),
-    }
-    for cid, iv in sorted(cfg.relaxometry.reference.items()):
-        epg[f"reference_{cid}"] = _fmt_interval(iv)
-    return {"synthgen": synthgen, "augment": aug, "epg": epg}
+    out: dict[str, dict[str, str]] = {}
+    for section, key, path, _, fmt in _FIELDS:
+        kv = out.setdefault(section, {})
+        value = _get(cfg, path)
+        if key.endswith("_"):
+            kv.update((f"{key}{cid}", fmt(v)) for cid, v in sorted(value.items()))
+        else:
+            kv[key] = fmt(value)
+    return out
 
 
 def config_text(cfg: GenerationConfig) -> str:
@@ -147,112 +205,9 @@ def write_config(cfg: GenerationConfig, path) -> None:
         fh.write(config_text(cfg))
 
 
-_KNOWN_KEYS = {name: set(kv) for name, kv in config_sections(GenerationConfig()).items()}
-
-
-def _apply_synthgen(cfg: GenerationConfig, kv: dict[str, str]) -> GenerationConfig:
-    if "mode" in kv:
-        try:
-            cfg = replace(cfg, mode=GeneratorMode(kv["mode"].strip().lower()))
-        except ValueError:
-            valid = ", ".join(m.value for m in GeneratorMode)
-            raise ConfigError(f"synthgen.mode: {kv['mode']!r} is not one of {valid}") from None
-    if "profile" in kv:
-        try:
-            cfg = replace(cfg, profile=AugmentProfile(kv["profile"].strip().lower()))
-        except ValueError:
-            valid = ", ".join(p.value for p in AugmentProfile)
-            raise ConfigError(f"synthgen.profile: {kv['profile']!r} is not one of {valid}") from None
-    if "mu" in kv:
-        cfg = replace(cfg, mu_range=_pair(kv["mu"], "synthgen.mu"))
-    if "sigma" in kv:
-        cfg = replace(cfg, sigma_range=_pair(kv["sigma"], "synthgen.sigma"))
-    if "subclasses" in kv:
-        cfg = replace(cfg, k_range=_pair(kv["subclasses"], "synthgen.subclasses", _int))
-    if "nonbrain_subclasses" in kv:
-        text = kv["nonbrain_subclasses"].strip()
-        rng = None if not text else _pair(text, "synthgen.nonbrain_subclasses", _int)
-        cfg = replace(cfg, nonbrain_k_range=rng)
-    if "master_seed" in kv:
-        cfg = replace(cfg, master_seed=_int(kv["master_seed"], "synthgen.master_seed"))
-    return cfg
-
-
-def _apply_augment(cfg: GenerationConfig, kv: dict[str, str]) -> GenerationConfig:
-    aff = cfg.affine
-    for key, attr in (
-        ("rotation_rad", "rotation_rad"),
-        ("scale_delta", "scale_delta"),
-        ("translation_mm", "translation_mm"),
-        ("shear", "shear"),
-    ):
-        if key in kv:
-            aff = replace(aff, **{attr: _float(kv[key], f"augment.{key}")})
-    svf = cfg.svf
-    if "svf_control_points" in kv:
-        svf = replace(svf, control_points=_int(kv["svf_control_points"], "augment.svf_control_points"))
-    if "svf_sigma_vox" in kv:
-        svf = replace(svf, sigma_vox=_float(kv["svf_sigma_vox"], "augment.svf_sigma_vox"))
-    if "svf_steps" in kv:
-        svf = replace(svf, integration_steps=_int(kv["svf_steps"], "augment.svf_steps"))
-    cor = cfg.corruption
-    if "bias_control_points" in kv:
-        cor = replace(cor, bias_control_points=_int(kv["bias_control_points"], "augment.bias_control_points"))
-    if "bias_log_sigma" in kv:
-        cor = replace(cor, bias_log_sigma=_float(kv["bias_log_sigma"], "augment.bias_log_sigma"))
-    if "gamma" in kv:
-        cor = replace(cor, gamma_range=_pair(kv["gamma"], "augment.gamma"))
-    if "noise_sigma" in kv:
-        cor = replace(cor, noise_sigma_range=_pair(kv["noise_sigma"], "augment.noise_sigma"))
-    if "blur_sigma_mm" in kv:
-        cor = replace(cor, blur_sigma_mm_range=_pair(kv["blur_sigma_mm"], "augment.blur_sigma_mm"))
-    if "simple_noise_sigma" in kv:
-        cor = replace(cor, simple_noise_sigma=_float(kv["simple_noise_sigma"], "augment.simple_noise_sigma"))
-    if "op_probability" in kv:
-        cor = replace(cor, op_probability=_float(kv["op_probability"], "augment.op_probability"))
-    res = cfg.resolution
-    if "inplane_mm" in kv:
-        res = replace(res, inplane_range_mm=_pair(kv["inplane_mm"], "augment.inplane_mm"))
-    if "thickness_mm" in kv:
-        res = replace(res, thickness_range_mm=_pair(kv["thickness_mm"], "augment.thickness_mm"))
-    if "slice_axis" in kv:
-        text = kv["slice_axis"].strip()
-        axis = None if not text else _int(text, "augment.slice_axis")
-        if axis is not None and axis not in (0, 1, 2):
-            raise ConfigError(f"augment.slice_axis: must be 0, 1, or 2, got {axis}")
-        res = replace(res, slice_axis=axis)
-    return replace(cfg, affine=aff, svf=svf, corruption=cor, resolution=res)
-
-
-def _apply_epg(cfg: GenerationConfig, kv: dict[str, str]) -> GenerationConfig:
-    seq = cfg.sequence
-    if "esp_ms" in kv:
-        seq = replace(seq, esp_ms=_float(kv["esp_ms"], "epg.esp_ms"))
-    if "etl" in kv:
-        seq = replace(seq, etl=_int(kv["etl"], "epg.etl"))
-    if "excitation_deg" in kv:
-        seq = replace(seq, excitation_deg=_float(kv["excitation_deg"], "epg.excitation_deg"))
-    if "refocus_deg" in kv:
-        seq = replace(seq, refocus_range_deg=_pair(kv["refocus_deg"], "epg.refocus_deg"))
-    if "te_eff_ms" in kv:
-        seq = replace(seq, te_eff_range_ms=_pair(kv["te_eff_ms"], "epg.te_eff_ms"))
-    relax = cfg.relaxometry
-    if "t1_ms" in kv:
-        relax = replace(relax, t1_range_ms=_pair(kv["t1_ms"], "epg.t1_ms"))
-    if "t2_ms" in kv:
-        relax = replace(relax, t2_range_ms=_pair(kv["t2_ms"], "epg.t2_ms"))
-    if "pd" in kv:
-        relax = replace(relax, pd_range=_pair(kv["pd"], "epg.pd"))
-    reference = dict(relax.reference)
-    for key, value in kv.items():
-        if key.startswith("reference_"):
-            cid = _int(key[len("reference_") :], f"epg.{key}")
-            reference[cid] = _interval(value, f"epg.{key}")
-    relax = replace(relax, reference=reference)
-    out = replace(cfg, sequence=seq, relaxometry=relax)
-    if "voxelwise" in kv:
-        out = replace(out, epg_voxelwise=_bool(kv["voxelwise"], "epg.voxelwise"))
-    return out
+def _family(key: str) -> str:
+    """The per-class family a key belongs to ("reference_3" -> "reference_")."""
+    return key.rpartition("_")[0] + "_"
 
 
 def apply_sections(cfg: GenerationConfig, sections: dict[str, dict[str, str]]) -> GenerationConfig:
@@ -261,11 +216,20 @@ def apply_sections(cfg: GenerationConfig, sections: dict[str, dict[str, str]]) -
         if name not in _KNOWN_KEYS:
             raise ConfigError(f"unknown config section [{name}]")
         for key in kv:
-            if key not in _KNOWN_KEYS[name] and not (name == "epg" and key.startswith("reference_")):
+            if key not in _KNOWN_KEYS[name] and _family(key) not in _KNOWN_KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
-    cfg = _apply_synthgen(cfg, sections.get("synthgen", {}))
-    cfg = _apply_augment(cfg, sections.get("augment", {}))
-    cfg = _apply_epg(cfg, sections.get("epg", {}))
+    for section, key, path, parse, _ in _FIELDS:
+        kv = sections.get(section, {})
+        if key.endswith("_"):
+            members = {
+                _int(k[len(key):], f"{section}.{k}"): parse(v, f"{section}.{k}")
+                for k, v in kv.items()
+                if k.startswith(key)
+            }
+            if members:
+                cfg = _with(cfg, path, {**_get(cfg, path), **members})
+        elif key in kv:
+            cfg = _with(cfg, path, parse(kv[key], f"{section}.{key}"))
     return cfg
 
 
@@ -281,21 +245,3 @@ def load_config(path, base: GenerationConfig | None = None) -> GenerationConfig:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     sections = {name: dict(cp.items(name)) for name in cp.sections()}
     return apply_sections(base if base is not None else GenerationConfig(), sections)
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """One resolved command-line invocation."""
-
-    subcommand: str
-    in_dir: str = ""
-    out_dir: str = ""
-    generation: GenerationConfig = None
-    count: int = 1
-    workers: int = 1
-
-    def __post_init__(self):
-        if self.count < 1:
-            raise ConfigError(f"sample count must be >= 1, got {self.count}")
-        if self.workers < 1:
-            raise ConfigError(f"worker count must be >= 1, got {self.workers}")

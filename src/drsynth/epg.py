@@ -159,14 +159,10 @@ def sample_relaxometry(
             iv = ranges.reference.get(cid)
             if iv is None:
                 raise MissingParams(f"no reference relaxometry interval for class {cid}")
-            t1 = float(rng.uniform(*iv.t1_ms))
-            t2 = float(rng.uniform(*iv.t2_ms))
-            pd = float(rng.uniform(*iv.pd))
+            bounds = (iv.t1_ms, iv.t2_ms, iv.pd)
         else:
-            t1 = float(rng.uniform(*ranges.t1_range_ms))
-            t2 = float(rng.uniform(*ranges.t2_range_ms))
-            pd = float(rng.uniform(*ranges.pd_range))
-        out[cid] = TissueRelaxometry(t1, t2, pd)
+            bounds = (ranges.t1_range_ms, ranges.t2_range_ms, ranges.pd_range)
+        out[cid] = TissueRelaxometry(*(float(rng.uniform(*b)) for b in bounds))
     return out
 
 

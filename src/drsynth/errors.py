@@ -79,3 +79,7 @@ class EmptySample(DrsynthError):
 
 class ConfigError(DrsynthError):
     """A configuration file entry that cannot be parsed or validated."""
+
+
+class InputChanged(DrsynthError):
+    """A replay input whose content no longer matches its recorded SHA-256."""

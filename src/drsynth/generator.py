@@ -42,7 +42,7 @@ from .epg import (
     sample_relaxometry,
 )
 from .errors import EmptySample, InvalidRange, MissingParams
-from .labels import SubclassPartition, build_meta_classes, split_meta_classes
+from .labels import NONBRAIN_META, SubclassPartition, build_meta_classes, split_meta_classes
 from .rng import make_stream
 from .volume import LabelMap, LabelScheme, Volume3D, require_same_grid
 
@@ -62,7 +62,7 @@ class GeneratorMode(enum.Enum):
     RANDFABIAN = "randfabian"
 
 
-_PHYSICS_MODES = (GeneratorMode.FABIAN, GeneratorMode.RANDFABIAN)
+PHYSICS_MODES = (GeneratorMode.FABIAN, GeneratorMode.RANDFABIAN)
 
 
 @dataclass(frozen=True)
@@ -167,12 +167,7 @@ def render_intensities(
     return Volume3D(out, label_map.spacing, label_map.affine)
 
 
-def build_generation_labels(
-    labels: LabelMap,
-    intensity: Volume3D,
-    mode: GeneratorMode,
-    meta_table: dict[int, int] | None = None,
-) -> LabelMap:
+def build_generation_labels(labels: LabelMap, intensity: Volume3D, mode: GeneratorMode) -> LabelMap:
     """The label map whose classes are clustered and rendered.
 
     Per-tissue mode keeps the 7-class map; the grouped modes build
@@ -180,14 +175,25 @@ def build_generation_labels(
     """
     if mode is GeneratorMode.SYNTHSEG:
         return labels
-    return build_meta_classes(labels, intensity, meta_table)
+    return build_meta_classes(labels, intensity)
 
 
-def _partition(labels, intensity, cfg: GenerationConfig, rng) -> SubclassPartition:
+def partition_subclasses(labels, intensity, cfg: GenerationConfig, rng) -> SubclassPartition:
+    """Split the generation labels of ``cfg.mode`` into EM intensity subclasses.
+
+    ``rng`` draws the component count per class; in the grouped modes the
+    non-brain class draws from ``cfg.nonbrain_k_range`` when it is set.
+    """
+    gen_labels = build_generation_labels(labels, intensity, cfg.mode)
     per_class = None
     if cfg.mode is not GeneratorMode.SYNTHSEG and cfg.nonbrain_k_range is not None:
-        per_class = {4: cfg.nonbrain_k_range}
-    return split_meta_classes(labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
+        per_class = {NONBRAIN_META: cfg.nonbrain_k_range}
+    return split_meta_classes(gen_labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
+
+
+def relaxometry_mode(mode: GeneratorMode) -> RelaxometryMode:
+    """Reference intervals for FABIAN, randomized relaxometry otherwise."""
+    return RelaxometryMode.REFERENCE if mode is GeneratorMode.FABIAN else RelaxometryMode.RANDOMIZED
 
 
 def _sha(arr: np.ndarray) -> str:
@@ -213,7 +219,6 @@ def generate_sample(
     sample_index: int,
     *,
     subject_id: str = "",
-    meta_table: dict[int, int] | None = None,
     timings: dict | None = None,
 ) -> SamplePair:
     """Render one randomized training pair from a labeled subject.
@@ -239,42 +244,34 @@ def generate_sample(
 
     # 1. joint spatial transform
     simple = cfg.profile is AugmentProfile.SIMPLE
+    svf = None
     if simple:
         plan = draw_simple_plan(cfg.affine, cfg.corruption, stream("profile"))
         drawn["simple_plan"] = plan.as_dict()
-        if plan.apply_affine:
-            coords = augment.transform_coordinates(labels.dims, labels.spacing, plan.affine, None)
-            labels = augment.apply_transform(labels, plan.affine, None, coords=coords)
-            intensity = augment.apply_transform(intensity, plan.affine, None, coords=coords)
+        affine = plan.affine  # None when the affine gate is off
     else:
         affine = augment.draw_affine(cfg.affine, stream("spatial_affine"))
         ctrl = augment.draw_svf_control(cfg.svf, stream("spatial_svf"))
         svf = augment.svf_from_control(ctrl, labels.dims, labels.spacing, cfg.svf.integration_steps)
+        drawn["affine"] = affine.as_dict()
+        drawn["svf_control_sha256"] = _sha(ctrl)
+    if affine is not None:
         coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf)
         labels = augment.apply_transform(labels, affine, svf, coords=coords)
         intensity = augment.apply_transform(intensity, affine, svf, coords=coords)
-        drawn["affine"] = {
-            "rotation": list(affine.rotation),
-            "scale": list(affine.scale),
-            "translation": list(affine.translation),
-            "shear": list(affine.shear),
-        }
-        drawn["svf_control_sha256"] = _sha(ctrl)
     clock.lap("deform")
 
     # 2. partition into subclasses
-    gen_labels = build_generation_labels(labels, intensity, cfg.mode, meta_table)
-    partition = _partition(gen_labels, intensity, cfg, stream("subclass"))
+    partition = partition_subclasses(labels, intensity, cfg, stream("subclass"))
     drawn["k_by_class"] = {str(k): v for k, v in sorted(partition.k_by_class.items())}
     clock.lap("cluster")
 
     # 3. contrast rendering
-    if cfg.mode in _PHYSICS_MODES:
+    if cfg.mode in PHYSICS_MODES:
         seq = draw_sequence(cfg.sequence, stream("sequence"))
-        relax_mode = (
-            RelaxometryMode.REFERENCE if cfg.mode is GeneratorMode.FABIAN else RelaxometryMode.RANDOMIZED
+        relax = _subclass_relaxometry(
+            partition, relaxometry_mode(cfg.mode), cfg.relaxometry, stream("relaxometry")
         )
-        relax = _subclass_relaxometry(partition, relax_mode, cfg.relaxometry, stream("relaxometry"))
         image = render_epg_volume(
             partition.subclass_map, relax, seq, voxelwise=cfg.epg_voxelwise
         )
@@ -296,13 +293,12 @@ def generate_sample(
 
     # 4. intensity corruption
     if simple:
-        plan_rng = stream("noise")
-        if drawn["simple_plan"]["apply_gamma"]:
-            image = augment.gamma_contrast(image, drawn["simple_plan"]["gamma"])
-        if drawn["simple_plan"]["apply_noise"]:
-            image = augment.add_gaussian_noise(image, cfg.corruption.simple_noise_sigma, plan_rng)
-        if drawn["simple_plan"]["apply_blur"]:
-            image = augment.gaussian_blur(image, drawn["simple_plan"]["blur_sigma_mm"])
+        if plan.apply_gamma:
+            image = augment.gamma_contrast(image, plan.gamma)
+        if plan.apply_noise:
+            image = augment.add_gaussian_noise(image, plan.noise_sigma, stream("noise"))
+        if plan.apply_blur:
+            image = augment.gaussian_blur(image, plan.blur_sigma_mm)
         clock.lap("corrupt")
     else:
         bias_ctrl = augment.sample_bias_control(cfg.corruption, stream("bias"))

@@ -100,7 +100,6 @@ def em_cluster(
     intensity: Volume3D,
     mask: np.ndarray,
     k: int,
-    seed: int = 0,
     *,
     max_iter: int = 50,
     rel_tol: float = 1e-4,
@@ -111,10 +110,8 @@ def em_cluster(
     equal weights, every variance at the sample variance.  Iteration stops
     when the relative log-likelihood change drops below ``rel_tol`` or
     after ``max_iter`` rounds.  A variance floor of 1e-6 x sample variance
-    is applied at every M step.  ``seed`` is accepted for interface
-    stability; the quantile initialization leaves nothing random.
+    is applied at every M step.
     """
-    del seed
     mask = np.asarray(mask, dtype=bool)
     x = intensity.data[mask].astype(np.float64)
     n = x.size

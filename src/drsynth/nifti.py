@@ -22,6 +22,7 @@ import struct
 import numpy as np
 
 from .errors import FormatError, IoError, TruncatedFile, UnsupportedDatatype, UnsupportedShape
+from .fileio import atomic_write
 from .volume import LabelMap, LabelScheme, Volume3D
 
 HEADER_SIZE = 348
@@ -234,23 +235,11 @@ def write_nifti(vol, path) -> None:
 
     header = _pack_header(vol.dims, vol.spacing, vol.affine, _CODES[arr.dtype], arr.dtype.itemsize * 8)
     blob = header + b"\x00\x00\x00\x00" + arr.tobytes(order="F")
-    path = str(path)
-    if path.endswith(".gz"):
+    if str(path).endswith(".gz"):
         import io
 
         buf = io.BytesIO()
         with gzip.GzipFile(filename="", mode="wb", fileobj=buf, mtime=0) as gz:
             gz.write(blob)
         blob = buf.getvalue()
-
-    tmp = f"{path}.tmp.{os.getpid()}"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(blob)
-        os.replace(tmp, path)
-    except OSError as exc:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
-        raise IoError(f"cannot write {path}: {exc}") from exc
+    atomic_write(path, blob)

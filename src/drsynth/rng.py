@@ -40,11 +40,3 @@ def make_stream(master_seed: int, sample_index: int, stage: str) -> np.random.Ge
         raise KeyError(f"unknown rng stage {stage!r}")
     seq = np.random.SeedSequence(master_seed, spawn_key=(sample_index, STAGE_IDS[stage]))
     return np.random.Generator(np.random.Philox(seq))
-
-
-def uniform(rng: np.random.Generator, bounds: tuple[float, float], size=None):
-    """Uniform draw over a closed interval given as an (lo, hi) pair."""
-    lo, hi = bounds
-    if hi < lo:
-        raise ValueError(f"inverted interval {bounds!r}")
-    return rng.uniform(lo, hi, size=size)

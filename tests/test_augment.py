@@ -7,17 +7,14 @@ from drsynth import augment
 from drsynth.augment import (
     AffineParams,
     AffineRanges,
-    AugmentProfile,
     CorruptionConfig,
     DeformationField,
     ResolutionSim,
     SvfConfig,
     add_gaussian_noise,
     apply_bias_field,
-    apply_profile,
     apply_transform,
     bias_field_from_control,
-    compose_displacements,
     draw_affine,
     draw_resolution,
     draw_simple_plan,
@@ -220,14 +217,6 @@ def test_default_draws_stay_diffeomorphic():
         assert jacobian_determinant(field, (1, 1, 1)).min() > 0
 
 
-def test_composing_with_zero_displacement(rng):
-    field = draw_svf_deformation((10, 10, 10), (1, 1, 1), SvfConfig(), rng)
-    zero = DeformationField(np.zeros((10, 10, 10, 3), np.float32))
-    vox = field.as_voxels((1, 1, 1))
-    np.testing.assert_allclose(compose_displacements(field, zero, (1, 1, 1)), vox, atol=0)
-    np.testing.assert_allclose(compose_displacements(zero, field, (1, 1, 1)), vox, atol=0)
-
-
 # ---------------------------------------------------------------------------
 # intensity corruptions
 
@@ -376,38 +365,3 @@ def test_simple_plan_gates_follow_probability():
     assert {"apply_affine", "apply_gamma", "apply_noise", "apply_blur", "noise_sigma"} <= set(d)
     assert "affine" in d and "gamma" in d and "blur_sigma_mm" in d
     assert "gamma" not in off.as_dict()
-
-
-def test_simple_profile_ends_rescaled(subject):
-    labels, intensity = subject
-    img, lab, plan = apply_profile(
-        intensity, labels, AugmentProfile.SIMPLE, np.random.default_rng(12)
-    )
-    assert img.data.min() == 0.0 and img.data.max() == 1.0
-    assert img.dims == intensity.dims
-    assert lab.scheme is LabelScheme.FETA7
-    assert isinstance(plan, dict)
-
-
-def test_full_profile_runs_and_reports_draws(subject):
-    labels, intensity = subject
-    img, lab, plan = apply_profile(
-        intensity,
-        labels,
-        AugmentProfile.SYNTHSEG_FULL,
-        np.random.default_rng(12),
-        affine_ranges=AffineRanges(translation_mm=3.0),
-    )
-    assert img.dims == intensity.dims
-    assert lab.dims == labels.dims
-    for key in ("affine", "gamma", "noise_sigma", "resolution_target_mm", "slice_axis"):
-        assert key in plan
-    # identical seeds reproduce the pipeline bit for bit
-    img2, _, _ = apply_profile(
-        intensity,
-        labels,
-        AugmentProfile.SYNTHSEG_FULL,
-        np.random.default_rng(12),
-        affine_ranges=AffineRanges(translation_mm=3.0),
-    )
-    np.testing.assert_array_equal(img.data, img2.data)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from drsynth.checkpoints import (
-    DEFAULT_SWEEP,
     MAGIC,
     Checkpoint,
     interpolate,
-    interpolate_sweep,
     read_checkpoint,
     write_checkpoint,
 )
@@ -196,15 +194,6 @@ def test_metadata_records_sources_and_alpha():
     assert out.metadata["a.step"] == "100"
     assert out.metadata["b.run"] == "day"
     assert out.metadata["alpha"] == repr(0.25)
-
-
-def test_sweep_covers_default_grid():
-    a = Checkpoint({"w": np.zeros(3, np.float32)})
-    b = Checkpoint({"w": np.full(3, 2.0, np.float32)})
-    sweep = interpolate_sweep(a, b)
-    assert [al for al, _ in sweep] == list(DEFAULT_SWEEP)
-    for al, ck in sweep:
-        np.testing.assert_allclose(ck.tensors["w"], 2.0 * al, atol=1e-7)
 
 
 def test_checkpoint_casts_to_float32_and_validates_names():

@@ -1,6 +1,7 @@
 import gzip
 import json
 import os
+import re
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from drsynth.cli import (
     read_manifest,
     render_from_sidecar,
 )
-from drsynth.errors import IoError
+from drsynth.errors import InputChanged, IoError
 from drsynth.nifti import read_nifti, write_nifti
 from drsynth.volume import LabelMap, LabelScheme
 
@@ -227,6 +228,75 @@ def test_error_lines_are_machine_parsable(tmp_path, capsys):
     )
     assert code == 1
     assert err.startswith("error: ConfigError:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("generate", "--count", "0"),
+        ("generate", "--count", "-3"),
+        ("generate", "--workers", "0"),
+        ("generate", "--workers", "-2"),
+        ("bench", "--samples", "0"),
+        ("bench", "--epg-samples", "0"),
+    ],
+)
+def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(12, 12, 12))
+    out_dir = tmp_path / "out"
+    where = ["--out", str(out_dir)] if argv[0] == "generate" else []
+    code, _, err = run(capsys, argv[0], "--in", str(in_dir), *where, *argv[1:])
+    assert code == 1
+    assert err.startswith(f"error: ConfigError: {argv[1]} must be >= 1") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_failed_sample_names_subject_and_index(tmp_path, capsys, workers):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for sid in ("a", "b", "c"):
+        write_subject(in_dir, sid, dims=(12, 12, 12))
+    empty = read_nifti(in_dir / "b_labels.nii.gz", scheme=LabelScheme.FETA7)
+    write_nifti(empty.with_data(np.zeros_like(empty.data)), in_dir / "b_labels.nii.gz")
+    code, _, err = run(
+        capsys,
+        "generate", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+        "--count", "6", "--profile", "simple", "--workers", workers,
+    )
+    assert code == 1
+    assert err.startswith("error: EmptySample: subject 'b' sample 1: ") and err.count("\n") == 1
+
+
+def test_replay_rejects_changed_inputs(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    img_path, lab_path = write_subject(in_dir, "toy", dims=(12, 12, 12))
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        "generate", "--config", small_ini(tmp_path), "--in", str(in_dir),
+        "--out", str(out_dir), "--count", "1",
+    )
+    assert code == 0, err
+    sidecar = str(out_dir / "toy_s00000_seed7.json")
+    written = read_nifti(out_dir / "toy_s00000_seed7_image.nii.gz").data.tobytes()
+    image = read_nifti(img_path)
+    labels = read_nifti(lab_path, scheme=LabelScheme.FETA7)
+    edits = [
+        (img_path, image.with_data(image.data * 2)),
+        (lab_path, labels.with_data(np.where(labels.data == 1, 2, labels.data))),
+    ]
+    for path, edited in edits:
+        original = open(path, "rb").read()
+        write_nifti(edited, path)
+        with pytest.raises(InputChanged, match=re.escape(path)):
+            render_from_sidecar(sidecar)
+        with open(path, "wb") as fh:
+            fh.write(original)
+        assert render_from_sidecar(sidecar).image.data.tobytes() == written
 
 
 # ---------------------------------------------------------------------------

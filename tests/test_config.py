@@ -1,8 +1,9 @@
+from pathlib import Path
+
 import pytest
 
 from drsynth.augment import AugmentProfile
 from drsynth.config import (
-    RunConfig,
     apply_sections,
     config_sections,
     config_text,
@@ -145,9 +146,11 @@ def test_config_text_is_valid_ini(tmp_path):
     assert load_config(p) == custom_config()
 
 
-def test_run_config_validation():
-    RunConfig("generate", count=1, workers=1)
-    with pytest.raises(ConfigError):
-        RunConfig("generate", count=0)
-    with pytest.raises(ConfigError):
-        RunConfig("generate", workers=0)
+def test_readme_config_example_loads(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("```ini\n", 1)[1].split("```", 1)[0]
+    p = tmp_path / "readme.ini"
+    p.write_text(block)
+    cfg = load_config(p)
+    assert cfg.profile is AugmentProfile.SYNTHSEG_FULL
+    assert cfg.master_seed == 7

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from drsynth.rng import STAGE_IDS, make_stream, uniform
+from drsynth.rng import STAGE_IDS, make_stream
 
 
 def test_stage_table_is_frozen():
@@ -47,16 +47,3 @@ def test_streams_do_not_interact():
 def test_unknown_stage_rejected():
     with pytest.raises(KeyError):
         make_stream(0, 0, "not-a-stage")
-
-
-def test_uniform_bounds_and_inversion():
-    r = make_stream(0, 0, "gmm")
-    draws = uniform(r, (2.0, 5.0), size=1000)
-    assert draws.min() >= 2.0 and draws.max() <= 5.0
-    with pytest.raises(ValueError):
-        uniform(r, (5.0, 2.0))
-
-
-def test_degenerate_interval_is_constant():
-    r = make_stream(0, 0, "gmm")
-    assert float(uniform(r, (3.25, 3.25))) == 3.25
