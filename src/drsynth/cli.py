@@ -22,12 +22,14 @@ import argparse
 import hashlib
 import json
 import os
+import platform
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
+import scipy
 
 from .augment import AugmentProfile
 from .checkpoints import DEFAULT_SWEEP, interpolate, read_checkpoint, write_checkpoint
@@ -259,6 +261,20 @@ def _time_pipeline(labels, intensity, cfg, runs: int) -> dict:
     return _summaries(per_run, wall)
 
 
+def _machine_info() -> dict:
+    """What a timing depends on besides the code: CPUs, versions, thread caps."""
+    return {
+        "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "threads": {
+            var: os.environ.get(var)
+            for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+        },
+    }
+
+
 def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_samples: int) -> dict:
     """Time the Gaussian-rendering and physics-rendering pipelines."""
     gmm_cfg = replace(cfg, mode=GeneratorMode.FETALSYNTHSEG)
@@ -271,6 +287,7 @@ def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_sam
         "gmm": gmm,
         "epg": epg,
         "epg_over_gmm_wall_ratio": epg["wall_median_s"] / gmm["wall_median_s"],
+        "machine": _machine_info(),
     }
 
 
@@ -286,6 +303,10 @@ def cmd_bench(args) -> int:
 
     report = bench_report(labels, intensity, cfg, args.samples, args.epg_samples)
     report["subject"] = sid
+    m = report["machine"]
+    threads = " ".join(f"{k}={v}" for k, v in m["threads"].items())
+    print(f"machine: {m['cpu_count']} CPUs, Python {m['python']}, numpy {m['numpy']}, "
+          f"scipy {m['scipy']}, {threads}")
     for pipeline in ("gmm", "epg"):
         block = report[pipeline]
         print(f"{pipeline}: median {block['wall_median_s']:.3f} s/volume "

@@ -73,6 +73,10 @@ class InvalidAlpha(DrsynthError):
     """An interpolation coefficient outside [0, 1]."""
 
 
+class NonFiniteIntensity(DrsynthError):
+    """An intensity volume holding NaN or infinite voxels."""
+
+
 class EmptySample(DrsynthError):
     """A generation request over a label map with no foreground voxels."""
 

@@ -41,7 +41,7 @@ from .epg import (
     render_epg_volume,
     sample_relaxometry,
 )
-from .errors import EmptySample, InvalidRange, MissingParams
+from .errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
 from .labels import NONBRAIN_META, SubclassPartition, build_meta_classes, split_meta_classes
 from .rng import make_stream
 from .volume import LabelMap, LabelScheme, Volume3D, require_same_grid
@@ -178,12 +178,25 @@ def build_generation_labels(labels: LabelMap, intensity: Volume3D, mode: Generat
     return build_meta_classes(labels, intensity)
 
 
+def _require_finite(intensity: Volume3D) -> None:
+    """Raise NonFiniteIntensity, with the count, if any voxel is NaN or inf.
+
+    One such voxel inside a class would turn that class's EM fit into NaN
+    means and put all of its voxels in one subclass.
+    """
+    n_bad = intensity.data.size - int(np.count_nonzero(np.isfinite(intensity.data)))
+    if n_bad:
+        raise NonFiniteIntensity(f"intensity volume has {n_bad} non-finite voxel(s) (NaN or inf)")
+
+
 def partition_subclasses(labels, intensity, cfg: GenerationConfig, rng) -> SubclassPartition:
     """Split the generation labels of ``cfg.mode`` into EM intensity subclasses.
 
     ``rng`` draws the component count per class; in the grouped modes the
     non-brain class draws from ``cfg.nonbrain_k_range`` when it is set.
+    A non-finite intensity voxel raises NonFiniteIntensity.
     """
+    _require_finite(intensity)
     gen_labels = build_generation_labels(labels, intensity, cfg.mode)
     per_class = None
     if cfg.mode is not GeneratorMode.SYNTHSEG and cfg.nonbrain_k_range is not None:
@@ -227,12 +240,14 @@ def generate_sample(
     draws from its own stream keyed by (cfg.master_seed, sample_index,
     stage).  The returned labels are the deformed tissue labels; the image
     is min-max normalized to [0, 1].  A label map with no foreground
-    raises EmptySample; anatomy deformed fully out of the field of view
+    raises EmptySample, a NaN or infinite intensity voxel
+    NonFiniteIntensity; anatomy deformed fully out of the field of view
     yields an all-zero (still valid) sample.
     """
     if labels.scheme is not LabelScheme.FETA7:
         raise InvalidRange(f"generation expects feta7 labels, got {labels.scheme.value}")
     require_same_grid(labels, intensity, "labels and intensity")
+    _require_finite(intensity)
     if not np.any(labels.data):
         raise EmptySample("label map has no foreground voxels")
 
@@ -359,9 +374,11 @@ def _subclass_relaxometry(partition, mode, ranges, rng):
 def iter_samples(subjects, cfg: GenerationConfig, count: int, start_index: int = 0):
     """Stream samples round-robin over subjects; index i uses subject i % n.
 
-    ``subjects`` is a sequence of (subject_id, labels, intensity).  This is
-    the same code path the offline writer uses, so streamed and on-disk
-    samples are identical for equal (seed, index).
+    ``subjects`` is a sequence of (subject_id, labels, intensity).  The
+    offline writer (``cli._render_task``) does not go through here, but it
+    calls the same ``generate_sample`` with the same (cfg, index), so a
+    streamed sample equals the written one for equal (seed, index) and
+    subject order.
     """
     if not subjects:
         raise EmptySample("no subjects to generate from")

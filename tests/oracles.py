@@ -56,6 +56,44 @@ def sample_nearest(data: np.ndarray, coord, oob: str = "zero") -> float:
     return 0.0
 
 
+def _lerp(a, b, f):
+    return a + (b - a) * f
+
+
+def integrate_velocity_ref(vel: np.ndarray, steps: int) -> np.ndarray:
+    """Scaling and squaring over the whole volume, one channel at a time.
+
+    u <- u + u(x + u) ``steps`` times from u = vel / 2**steps, with
+    edge-clamped trilinear sampling in float32: z-lerps first, then y, then
+    x, each as a + (b - a) * f.
+    """
+    vel = np.asarray(vel, dtype=np.float32)
+    dims = vel.shape[:3]
+    disp = [vel[..., c] / np.float32(2**steps) for c in range(3)]
+    grid = np.meshgrid(*(np.arange(n, dtype=np.float32) for n in dims), indexing="ij")
+    for _ in range(steps):
+        lo, hi, frac = [], [], []
+        for a, n in enumerate(dims):
+            c = np.clip(grid[a] + disp[a], 0.0, n - 1.0)
+            i0 = np.minimum(np.floor(c).astype(np.int64), max(n - 2, 0))
+            lo.append(i0)
+            hi.append(np.minimum(i0 + 1, n - 1))
+            frac.append((c - i0).astype(np.float32))
+        fx, fy, fz = frac
+
+        x0, y0, z0 = lo
+        x1, y1, z1 = hi
+        warped = []
+        for u in disp:
+            c00 = _lerp(u[x0, y0, z0], u[x0, y0, z1], fz)
+            c01 = _lerp(u[x0, y1, z0], u[x0, y1, z1], fz)
+            c10 = _lerp(u[x1, y0, z0], u[x1, y0, z1], fz)
+            c11 = _lerp(u[x1, y1, z0], u[x1, y1, z1], fz)
+            warped.append(_lerp(_lerp(c00, c01, fy), _lerp(c10, c11, fy), fx))
+        disp = [u + w for u, w in zip(disp, warped)]
+    return np.stack(disp, axis=-1)
+
+
 # ---------------------------------------------------------------------------
 # segmentation metrics
 

@@ -32,7 +32,7 @@ from drsynth.augment import (
 from drsynth.errors import InvalidGamma, InvalidRange
 from drsynth.volume import InterpKind, LabelMap, LabelScheme, Volume3D
 
-from oracles import sample_trilinear
+from oracles import integrate_velocity_ref, sample_trilinear
 
 IDENTITY = AffineParams((0, 0, 0), (1, 1, 1), (0, 0, 0), (0,) * 6)
 
@@ -182,6 +182,33 @@ def test_integrating_a_constant_velocity_returns_it():
     vel[..., 0], vel[..., 1], vel[..., 2] = 0.5, -0.25, 0.125
     disp = integrate_velocity(vel, steps=7)
     np.testing.assert_allclose(disp, vel, atol=1e-6)
+
+
+@pytest.mark.parametrize("steps", [0, 1, 7])
+@pytest.mark.parametrize(
+    "dims",
+    [
+        (1, 17, 5),  # size-1 axis
+        (70, 40, 33),  # several slabs, the last one short
+        (130, 9, 11),  # one slab, not a whole number of planes per slab
+        (3, 190, 180),  # one x-plane is larger than a slab
+    ],
+)
+def test_integration_matches_whole_volume_reference_bit_for_bit(dims, steps):
+    rng = np.random.default_rng(sum(dims) + steps)
+    # rough and large: many sample points land past the edges and clamp
+    vel = (rng.standard_normal(dims + (3,)) * 8.0).astype(np.float32)
+    got = integrate_velocity(vel, steps)
+    assert got.shape == vel.shape and got.dtype == np.float32
+    assert got.tobytes() == integrate_velocity_ref(vel, steps).tobytes()
+
+
+def test_integration_test_shapes_span_several_slabs():
+    # keeps the shapes above covering a short last slab and an x-plane
+    # larger than one slab if the slab size changes
+    rows = augment._SLAB_VOXELS // (40 * 33)
+    assert 1 <= rows < 70 and 70 % rows != 0
+    assert 190 * 180 > augment._SLAB_VOXELS
 
 
 def test_zero_velocity_integrates_to_zero():

@@ -270,6 +270,26 @@ def test_failed_sample_names_subject_and_index(tmp_path, capsys, workers):
     assert err.startswith("error: EmptySample: subject 'b' sample 1: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_non_finite_intensity_fails_the_sample(tmp_path, capsys, bad, workers):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for sid in ("a", "b"):
+        write_subject(in_dir, sid, dims=(12, 12, 12))
+    image = read_nifti(in_dir / "b_image.nii.gz")
+    data = image.data.copy()
+    data[6, 6, 6] = bad
+    write_nifti(image.with_data(data), in_dir / "b_image.nii.gz")
+    code, _, err = run(
+        capsys,
+        "generate", "--in", str(in_dir), "--out", str(tmp_path / "out"),
+        "--count", "2", "--workers", workers,
+    )
+    assert code == 1
+    assert err == "error: NonFiniteIntensity: subject 'b' sample 1: intensity volume has 1 non-finite voxel(s) (NaN or inf)\n"
+
+
 def test_replay_rejects_changed_inputs(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -486,3 +506,11 @@ def test_bench_reports_both_pipelines(tmp_path, capsys):
         assert block["wall_median_s"] > 0
         assert {"deform", "cluster", "render"} <= set(block["stages"])
     assert report["epg_over_gmm_wall_ratio"] > 0
+    machine = report["machine"]
+    assert machine["cpu_count"] == os.cpu_count()
+    assert machine["numpy"] == np.__version__ and machine["python"].count(".") == 2
+    assert machine["scipy"]
+    assert machine["threads"] == {
+        var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+    }
+    assert "machine: " in stdout

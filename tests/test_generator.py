@@ -3,7 +3,7 @@ import pytest
 
 from drsynth.augment import AffineRanges, AugmentProfile
 from drsynth.epg import ReferenceInterval, RelaxometryRanges
-from drsynth.errors import EmptySample, InvalidRange, MissingParams
+from drsynth.errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
 from drsynth.generator import (
     GenerationConfig,
     GeneratorMode,
@@ -11,6 +11,7 @@ from drsynth.generator import (
     build_generation_labels,
     generate_sample,
     iter_samples,
+    partition_subclasses,
     render_intensities,
     sample_gmm_params,
 )
@@ -157,6 +158,19 @@ def test_generate_sample_validates_inputs(subject):
     empty = LabelMap(np.zeros(labels.dims, np.int32), labels.spacing, LabelScheme.FETA7, labels.affine)
     with pytest.raises(EmptySample):
         generate_sample(empty, intensity, small_config(), 0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_one_non_finite_intensity_voxel_is_rejected(subject, bad):
+    labels, intensity = subject
+    data = intensity.data.copy()
+    inside = tuple(np.argwhere(labels.data == 2)[0])
+    data[inside] = bad
+    poisoned = intensity.with_data(data)
+    with pytest.raises(NonFiniteIntensity, match=r"\b1 non-finite voxel"):
+        generate_sample(labels, poisoned, small_config(), 0)
+    with pytest.raises(NonFiniteIntensity, match=r"\b1 non-finite voxel"):
+        partition_subclasses(labels, poisoned, small_config(), np.random.default_rng(0))
 
 
 def test_generate_sample_stage_timings(subject):
