@@ -77,7 +77,7 @@ from .metrics import (
 )
 from .nifti import read_nifti, write_nifti
 from .rng import STAGE_IDS, make_stream
-from .volume import InterpKind, LabelMap, LabelScheme, Volume3D, crop_or_pad, resample
+from .volume import InterpKind, LabelMap, LabelScheme, Volume3D, resample
 
 __version__ = "0.1.0"
 
@@ -119,7 +119,6 @@ __all__ = [
     "bonferroni",
     "build_meta_classes",
     "config_sections",
-    "crop_or_pad",
     "dice",
     "draw_affine",
     "draw_svf_deformation",

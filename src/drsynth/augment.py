@@ -367,34 +367,26 @@ def apply_transform(
     vol,
     affine: AffineParams | None,
     field: DeformationField | None,
-    interp: InterpKind | None = None,
     coords: np.ndarray | None = None,
 ):
     """Backward-warp a volume or label map through affine o (id + field).
 
     Each output voxel samples the input at the affine image (about the
     volume center, in physical mm) of its own position plus the local
-    displacement.  Out-of-bounds samples take 0; label maps always use
-    nearest-neighbour lookup.  ``coords`` short-circuits the grid build when
-    the caller warps several volumes through one transform.
+    displacement.  Out-of-bounds samples take 0.  Label maps use
+    nearest-neighbour lookup and stay int32, volumes trilinear
+    interpolation.  ``coords`` short-circuits the grid build when the
+    caller warps several volumes through one transform.
     """
-    is_labels = isinstance(vol, LabelMap)
-    if is_labels:
-        if interp is InterpKind.TRILINEAR:
-            raise ValueError("label maps warp with nearest-neighbour only")
-        interp = InterpKind.NEAREST
-    elif interp is None:
-        interp = InterpKind.TRILINEAR
-
     if affine is None and field is None and coords is None:
         return vol.with_data(vol.data)
 
     if coords is None:
         coords = transform_coordinates(vol.dims, vol.spacing, affine, field)
-    data = sample_at_voxels(vol.data, coords, interp, oob="zero")
-    if is_labels:
+    if isinstance(vol, LabelMap):
+        data = sample_at_voxels(vol.data, coords, InterpKind.NEAREST, oob="zero")
         return vol.with_data(data.astype(np.int32))
-    return vol.with_data(data)
+    return vol.with_data(sample_at_voxels(vol.data, coords, InterpKind.TRILINEAR, oob="zero"))
 
 
 # ---------------------------------------------------------------------------
@@ -532,7 +524,7 @@ def simulate_resolution(vol: Volume3D, target_spacing) -> Volume3D:
     tgt = np.maximum(np.asarray(target_spacing, dtype=np.float64), src)
     sigma_mm = np.maximum(tgt - src, 0.0) / _FWHM_TO_SIGMA
     blurred = gaussian_blur(vol, sigma_mm)
-    low = resample(blurred, tuple(tgt), InterpKind.TRILINEAR, oob="clamp")
+    low = resample(blurred, tuple(tgt), oob="clamp")
     # Sample the coarse grid back at the original voxel centers (shared
     # world frame, edge-clamped): original voxel v sits at coarse
     # coordinate (v + 0.5) * src/tgt - 0.5.

@@ -86,13 +86,15 @@ def _load_generation_config(args) -> GenerationConfig:
 def discover_subjects(in_dir: str, skip_unreadable: bool = False):
     """Pair ``<subject>_image.nii[.gz]`` with ``<subject>_labels.nii[.gz]``.
 
-    Returns sorted (subject_id, image_path, labels_path) triples.  With
-    ``skip_unreadable`` every pair is test-read and broken ones are
-    dropped with a warning; otherwise the first broken pair aborts.
+    Returns sorted (subject_id, image_path, labels_path) triples.  A
+    subject missing one file, or with two files for one role (``.nii`` and
+    ``.nii.gz``), is an IoError.  With ``skip_unreadable`` such subjects
+    are skipped instead, and every pair is test-read and broken ones are
+    dropped, each with a warning; otherwise the first broken pair aborts.
     """
     if not os.path.isdir(in_dir):
         raise IoError(f"input directory {in_dir!r} does not exist")
-    stems: dict[str, dict[str, str]] = {}
+    stems: dict[str, dict[str, list[str]]] = {}
     for name in sorted(os.listdir(in_dir)):
         base = name
         for ext in (".nii.gz", ".nii"):
@@ -105,25 +107,30 @@ def discover_subjects(in_dir: str, skip_unreadable: bool = False):
             suffix = f"_{kind}"
             if base.endswith(suffix):
                 sid = base[: -len(suffix)]
-                stems.setdefault(sid, {})[kind] = os.path.join(in_dir, name)
+                stems.setdefault(sid, {}).setdefault(kind, []).append(os.path.join(in_dir, name))
     triples = []
     for sid in sorted(stems):
-        pair = stems[sid]
-        if "image" not in pair or "labels" not in pair:
-            missing = "image" if "image" not in pair else "labels"
-            msg = f"subject {sid!r}: missing _{missing} file"
+        files = stems[sid]
+        problems = [
+            f"two _{kind} files: {' and '.join(files[kind])}" if kind in files else f"missing _{kind} file"
+            for kind in ("image", "labels")
+            if len(files.get(kind, ())) != 1
+        ]
+        if problems:
+            msg = f"subject {sid!r}: {'; '.join(problems)}"
             if skip_unreadable:
                 print(f"warning: {msg}, skipping", file=sys.stderr)
                 continue
             raise IoError(msg)
+        (image,), (labels,) = files["image"], files["labels"]
         if skip_unreadable:
             try:
-                read_nifti(pair["labels"], scheme=LabelScheme.FETA7)
-                read_nifti(pair["image"])
+                read_nifti(labels, scheme=LabelScheme.FETA7)
+                read_nifti(image)
             except DrsynthError as exc:
                 print(f"warning: subject {sid!r} unreadable ({exc}), skipping", file=sys.stderr)
                 continue
-        triples.append((sid, pair["image"], pair["labels"]))
+        triples.append((sid, image, labels))
     return triples
 
 
@@ -329,12 +336,15 @@ def _parse_alphas(args) -> list[float]:
         raise ConfigError("pass either --alpha or --alphas, not both")
     if args.alpha is not None:
         return [float(args.alpha)]
-    if args.alphas is not None:
-        try:
-            return [float(t) for t in args.alphas.replace(",", " ").split()]
-        except ValueError:
-            raise ConfigError(f"--alphas: expected numbers, got {args.alphas!r}") from None
-    return list(DEFAULT_SWEEP)
+    if args.alphas is None:
+        return list(DEFAULT_SWEEP)
+    try:
+        alphas = [float(t) for t in args.alphas.replace(",", " ").split()]
+    except ValueError:
+        raise ConfigError(f"--alphas: expected numbers, got {args.alphas!r}") from None
+    if not alphas:
+        raise ConfigError(f"--alphas: no values in {args.alphas!r}")
+    return alphas
 
 
 def cmd_interpolate(args) -> int:
@@ -465,10 +475,9 @@ def build_parser() -> argparse.ArgumentParser:
     modes = [m.value for m in GeneratorMode]
     profiles = [p.value for p in AugmentProfile]
 
-    def add_common(p, seed=True):
+    def add_common(p):
         p.add_argument("--config", help="INI config file (defaults used when omitted)")
-        if seed:
-            p.add_argument("--seed", type=int, help="master seed (overrides config)")
+        p.add_argument("--seed", type=int, help="master seed (overrides config)")
 
     g = sub.add_parser("generate", help="render randomized samples from (image, labels) subjects")
     add_common(g)

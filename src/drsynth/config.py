@@ -9,10 +9,11 @@ intervals use one key per class: ``reference_3 = t1lo:t1hi t2lo:t2hi
 pdlo:pdhi``.
 
 Loading starts from the package defaults and overrides whatever keys are
-present; unknown sections or keys are errors so typos cannot silently
-fall back to defaults.  ``config_sections`` emits every effective value,
-defaults included, which is what generation writes into provenance
-sidecars.  Both directions are driven by one field table, ``_FIELDS``.
+present.  Unknown sections or keys, and counts out of range (subclass
+ranges need 1 <= lo <= hi, control points >= 1, SVF steps >= 0), raise
+ConfigError.  ``config_sections`` emits every effective value, defaults
+included, which generation writes into provenance sidecars.  Both
+directions are driven by one field table, ``_FIELDS``.
 """
 
 from __future__ import annotations
@@ -51,8 +52,21 @@ def _pair(text: str, ctx: str, cast=_float) -> tuple:
     return cast(toks[0], ctx), cast(toks[1], ctx)
 
 
-def _int_pair(text: str, ctx: str) -> tuple[int, int]:
-    return _pair(text, ctx, _int)
+def _k_range(text: str, ctx: str) -> tuple[int, int]:
+    lo, hi = _pair(text, ctx, _int)
+    if not 1 <= lo <= hi:
+        raise ConfigError(f"{ctx}: need 1 <= lo <= hi, got {lo}, {hi}")
+    return lo, hi
+
+
+def _int_at_least(low: int):
+    def parse(text: str, ctx: str) -> int:
+        value = _int(text, ctx)
+        if value < low:
+            raise ConfigError(f"{ctx}: must be >= {low}, got {value}")
+        return value
+
+    return parse
 
 
 def _optional(parse):
@@ -129,17 +143,17 @@ _FIELDS = (
     ("synthgen", "profile", "profile", _enum(AugmentProfile), lambda v: v.value),
     ("synthgen", "mu", "mu_range", _pair, _fmt_pair),
     ("synthgen", "sigma", "sigma_range", _pair, _fmt_pair),
-    ("synthgen", "subclasses", "k_range", _int_pair, _fmt_int_pair),
-    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", _optional(_int_pair), _fmt_int_pair),
+    ("synthgen", "subclasses", "k_range", _k_range, _fmt_int_pair),
+    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", _optional(_k_range), _fmt_int_pair),
     ("synthgen", "master_seed", "master_seed", _int, str),
     ("augment", "rotation_rad", "affine.rotation_rad", _float, repr),
     ("augment", "scale_delta", "affine.scale_delta", _float, repr),
     ("augment", "translation_mm", "affine.translation_mm", _float, repr),
     ("augment", "shear", "affine.shear", _float, repr),
-    ("augment", "svf_control_points", "svf.control_points", _int, str),
+    ("augment", "svf_control_points", "svf.control_points", _int_at_least(1), str),
     ("augment", "svf_sigma_vox", "svf.sigma_vox", _float, repr),
-    ("augment", "svf_steps", "svf.integration_steps", _int, str),
-    ("augment", "bias_control_points", "corruption.bias_control_points", _int, str),
+    ("augment", "svf_steps", "svf.integration_steps", _int_at_least(0), str),
+    ("augment", "bias_control_points", "corruption.bias_control_points", _int_at_least(1), str),
     ("augment", "bias_log_sigma", "corruption.bias_log_sigma", _float, repr),
     ("augment", "gamma", "corruption.gamma_range", _pair, _fmt_pair),
     ("augment", "noise_sigma", "corruption.noise_sigma_range", _pair, _fmt_pair),

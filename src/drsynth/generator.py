@@ -138,18 +138,13 @@ def sample_gmm_params(
     return GmmParams(by_id)
 
 
-def render_intensities(
-    partition: SubclassPartition | LabelMap,
-    params: GmmParams,
-    rng: np.random.Generator,
-) -> Volume3D:
+def render_intensities(label_map: LabelMap, params: GmmParams, rng: np.random.Generator) -> Volume3D:
     """Render voxel intensities: value ~ N(mu_s, sigma_s^2), clamped at 0.
 
     Every voxel draws independently; background (id 0) renders exactly 0.
     One standard-normal field covering the whole grid is drawn regardless
     of the partition, so the stream layout does not depend on anatomy.
     """
-    label_map = partition.subclass_map if isinstance(partition, SubclassPartition) else partition
     ids = np.unique(label_map.data)
     missing = [int(i) for i in ids if int(i) not in params.by_id]
     if missing:
@@ -302,7 +297,7 @@ def generate_sample(
         }
     else:
         params = sample_gmm_params(partition.ids(), cfg.mu_range, cfg.sigma_range, stream("gmm"))
-        image = render_intensities(partition, params, stream("gmm_noise"))
+        image = render_intensities(partition.subclass_map, params, stream("gmm_noise"))
         drawn["gmm"] = {str(i): list(params.by_id[i]) for i in params.ids()}
     clock.lap("render")
 
@@ -371,7 +366,7 @@ def _subclass_relaxometry(partition, mode, ranges, rng):
     return sample_relaxometry(mode, per_class, partition.ids(), rng)
 
 
-def iter_samples(subjects, cfg: GenerationConfig, count: int, start_index: int = 0):
+def iter_samples(subjects, cfg: GenerationConfig, count: int):
     """Stream samples round-robin over subjects; index i uses subject i % n.
 
     ``subjects`` is a sequence of (subject_id, labels, intensity).  The
@@ -382,6 +377,6 @@ def iter_samples(subjects, cfg: GenerationConfig, count: int, start_index: int =
     """
     if not subjects:
         raise EmptySample("no subjects to generate from")
-    for i in range(start_index, start_index + int(count)):
+    for i in range(int(count)):
         sid, labels, intensity = subjects[i % len(subjects)]
         yield generate_sample(labels, intensity, cfg, i, subject_id=sid)

@@ -43,29 +43,23 @@ def remap_drawem_to_feta(labels: LabelMap) -> LabelMap:
     return LabelMap(lut[data], labels.spacing, LabelScheme.FETA7, labels.affine)
 
 
-def build_meta_classes(
-    labels: LabelMap,
-    intensity: Volume3D,
-    table: dict[int, int] | None = None,
-) -> LabelMap:
+_META_LUT = np.zeros(8, dtype=np.int32)
+_META_LUT[list(META_CLASS_TABLE)] = list(META_CLASS_TABLE.values())
+_META_LUT.flags.writeable = False
+
+
+def build_meta_classes(labels: LabelMap, intensity: Volume3D) -> LabelMap:
     """Group fetal labels into generation meta-classes.
 
-    Voxels outside every tissue label but with non-zero image intensity
-    become the non-brain class 4; label-0 voxels with zero intensity stay
-    background.  ``table`` overrides the tissue grouping (values must be
-    meta ids 1..3); class 4 is always image-derived.
+    Tissue labels map through ``META_CLASS_TABLE`` (a lookup table built
+    once at import).  Voxels outside every tissue label but with non-zero
+    image intensity become the non-brain class 4; label-0 voxels with zero
+    intensity stay background.
     """
     if labels.scheme is not LabelScheme.FETA7:
         raise UnknownLabel(f"expected a feta7 map, got {labels.scheme.value}")
     require_same_grid(labels, intensity, "labels and intensity")
-    table = META_CLASS_TABLE if table is None else table
-
-    lut = np.zeros(8, dtype=np.int32)
-    for feta, meta in table.items():
-        if not 1 <= feta <= 7:
-            raise UnknownLabel(f"tissue label {feta} outside 1..7")
-        lut[feta] = meta
-    meta = lut[labels.data]
+    meta = _META_LUT[labels.data]
     meta[(labels.data == 0) & (intensity.data != 0)] = NONBRAIN_META
     return LabelMap(meta, labels.spacing, LabelScheme.META4, labels.affine)
 
@@ -96,21 +90,19 @@ class GmmFit:
             raise ValueError("variances must stay above the positive floor")
 
 
-def em_cluster(
-    intensity: Volume3D,
-    mask: np.ndarray,
-    k: int,
-    *,
-    max_iter: int = 50,
-    rel_tol: float = 1e-4,
-) -> GmmFit:
+_EM_MAX_ITER = 50
+_EM_REL_TOL = 1e-4
+
+
+def em_cluster(intensity: Volume3D, mask: np.ndarray, k: int) -> GmmFit:
     """Fit a k-component 1D Gaussian mixture to the masked intensities.
 
     Initialization is deterministic: means at the (i + 0.5)/k quantiles,
     equal weights, every variance at the sample variance.  Iteration stops
-    when the relative log-likelihood change drops below ``rel_tol`` or
-    after ``max_iter`` rounds.  A variance floor of 1e-6 x sample variance
-    is applied at every M step.
+    when the relative log-likelihood change drops below ``_EM_REL_TOL``
+    (1e-4) or after ``_EM_MAX_ITER`` (50) rounds; ``GmmFit.converged``
+    tells which.  A variance floor of 1e-6 x sample variance is applied at
+    every M step.
     """
     mask = np.asarray(mask, dtype=bool)
     x = intensity.data[mask].astype(np.float64)
@@ -146,7 +138,7 @@ def em_cluster(
     history: list[float] = []
     converged = False
     it = 0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _EM_MAX_ITER + 1):
         # E step.  Per-component log densities expand to a quadratic in x,
         # evaluated as one (k,3)x(3,n) matmul, then the max trick.
         with np.errstate(divide="ignore"):
@@ -162,7 +154,7 @@ def em_cluster(
         ll = float((peak + np.log(total)).sum(dtype=np.float64))
         history.append(ll)
 
-        if prev_ll > -np.inf and abs(ll - prev_ll) / max(abs(prev_ll), 1e-300) < rel_tol:
+        if prev_ll > -np.inf and abs(ll - prev_ll) / max(abs(prev_ll), 1e-300) < _EM_REL_TOL:
             converged = True
             break
         prev_ll = ll

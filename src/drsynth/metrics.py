@@ -24,7 +24,6 @@ from itertools import combinations
 
 import numpy as np
 from scipy.ndimage import binary_erosion, generate_binary_structure
-from scipy.spatial import cKDTree
 
 from .errors import EmptySample
 from .volume import LabelMap, require_same_grid
@@ -70,6 +69,8 @@ def hausdorff_percentile(pred: np.ndarray, gt: np.ndarray, spacing, q: float = 9
     Pq is the nearest-rank percentile of one direction's sorted distances.
     Returns None (Undefined) when either mask is empty.
     """
+    from scipy.spatial import cKDTree  # only evaluation needs it; keeps CLI import light
+
     pred = np.asarray(pred, dtype=bool)
     gt = np.asarray(gt, dtype=bool)
     if not pred.any() or not gt.any():
@@ -108,8 +109,8 @@ class EvalReport:
     mean_hd95: float | None
 
 
-def evaluate(pred: LabelMap, gt: LabelMap, subject: str = "", labels=FETA_LABELS) -> EvalReport:
-    """Score a prediction against ground truth over the tissue labels.
+def evaluate(pred: LabelMap, gt: LabelMap, subject: str = "") -> EvalReport:
+    """Score a prediction against ground truth over the tissue labels 1..7.
 
     mean_dice covers labels present in either map; mean_hd95 covers labels
     whose hd95 is defined (present in both).
@@ -118,7 +119,7 @@ def evaluate(pred: LabelMap, gt: LabelMap, subject: str = "", labels=FETA_LABELS
     per_label: dict[int, LabelScore] = {}
     dices: list[float] = []
     hds: list[float] = []
-    for lab in labels:
+    for lab in FETA_LABELS:
         pm = pred.data == lab
         gm = gt.data == lab
         d = dice(pm, gm)
@@ -151,9 +152,9 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
     return float(arr.mean()), float(arr.std())
 
 
-def batch_evaluate(pairs, labels=FETA_LABELS) -> BatchReport:
+def batch_evaluate(pairs) -> BatchReport:
     """Evaluate (subject_id, pred, gt) triples; aggregates skip Undefined."""
-    reports = [evaluate(pred, gt, subject=sid, labels=labels) for sid, pred, gt in pairs]
+    reports = [evaluate(pred, gt, subject=sid) for sid, pred, gt in pairs]
     dice_mean, dice_std = _mean_std([r.mean_dice for r in reports if r.mean_dice is not None])
     hd_mean, hd_std = _mean_std([r.mean_hd95 for r in reports if r.mean_hd95 is not None])
     return BatchReport(reports, dice_mean, dice_std, hd_mean, hd_std)

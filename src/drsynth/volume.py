@@ -118,16 +118,16 @@ class LabelMap:
     def dims(self) -> tuple[int, int, int]:
         return self.data.shape
 
-    def with_data(self, data: np.ndarray, scheme: LabelScheme | None = None) -> "LabelMap":
-        return LabelMap(data, self.spacing, scheme or self.scheme, self.affine)
+    def with_data(self, data: np.ndarray) -> "LabelMap":
+        return LabelMap(data, self.spacing, self.scheme, self.affine)
 
 
-def same_grid(a, b, tol: float = 1e-5) -> bool:
-    """True when two containers share dims, spacing, and affine."""
+def same_grid(a, b) -> bool:
+    """True when two containers share dims, and spacing and affine to 1e-5."""
     return (
         a.dims == b.dims
-        and np.allclose(a.spacing, b.spacing, atol=tol)
-        and np.allclose(a.affine, b.affine, atol=tol)
+        and np.allclose(a.spacing, b.spacing, atol=1e-5)
+        and np.allclose(a.affine, b.affine, atol=1e-5)
     )
 
 
@@ -178,66 +178,22 @@ def _resampled_geometry(vol, target_spacing):
     return out_dims, scale, shift, new_affine
 
 
-def resample(vol, target_spacing, interp: InterpKind | None = None, *, oob: str = "zero"):
+def resample(vol, target_spacing, *, oob: str = "zero"):
     """Resample a volume or label map onto a new spacing.
 
     Output dims are ceil(dim * spacing / target) per axis and voxel centers
     are mapped through the shared world frame, so resampling at the source
     spacing is the identity.  Samples falling outside the input take the
-    background value 0.  Label maps always use nearest-neighbour lookup.
+    background value 0.  Label maps use nearest-neighbour lookup, volumes
+    trilinear interpolation.
     """
-    is_labels = isinstance(vol, LabelMap)
-    if is_labels:
-        if interp is InterpKind.TRILINEAR:
-            raise ValueError("label maps resample with nearest-neighbour only")
-        interp = InterpKind.NEAREST
-    elif interp is None:
-        interp = InterpKind.TRILINEAR
-
     out_dims, scale, shift, new_affine = _resampled_geometry(vol, target_spacing)
     grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in out_dims], indexing="ij")
     coords = np.stack([g * s + h for g, s, h in zip(grids, scale, shift)])
 
     tgt = tuple(float(t) for t in target_spacing)
-    if is_labels:
+    if isinstance(vol, LabelMap):
         data = sample_at_voxels(vol.data, coords, InterpKind.NEAREST, oob=oob)
         return LabelMap(data.astype(np.int32), tgt, vol.scheme, new_affine)
-    data = sample_at_voxels(vol.data.astype(np.float64), coords, interp, oob=oob)
+    data = sample_at_voxels(vol.data.astype(np.float64), coords, InterpKind.TRILINEAR, oob=oob)
     return Volume3D(data.astype(np.float32), tgt, new_affine)
-
-
-def _start_offsets(dims, target_dims):
-    offs = []
-    for old, new in zip(dims, target_dims):
-        if new < 1:
-            raise GeometryError(f"target dims must be positive, got {target_dims!r}")
-        offs.append((old - new) // 2 if old >= new else -((new - old) // 2))
-    return offs
-
-
-def crop_or_pad(vol, target_dims):
-    """Center-crop or zero-pad to exact dims, preserving world coordinates.
-
-    The affine translation moves so that every retained voxel keeps its
-    world position; padding with ``k`` then cropping back is the identity.
-    """
-    target_dims = tuple(int(d) for d in target_dims)
-    if len(target_dims) != 3:
-        raise GeometryError(f"target dims must have length 3, got {target_dims!r}")
-    offs = _start_offsets(vol.dims, target_dims)
-
-    out = np.zeros(target_dims, dtype=vol.data.dtype)
-    src_slices, dst_slices = [], []
-    for old, new, s in zip(vol.dims, target_dims, offs):
-        src_lo = max(s, 0)
-        src_hi = min(s + new, old)
-        src_slices.append(slice(src_lo, src_hi))
-        dst_slices.append(slice(src_lo - s, src_hi - s))
-    out[tuple(dst_slices)] = vol.data[tuple(src_slices)]
-
-    new_affine = np.array(vol.affine, dtype=np.float64)
-    new_affine[:3, 3] = vol.affine[:3, 3] + vol.affine[:3, :3] @ np.asarray(offs, dtype=np.float64)
-
-    if isinstance(vol, LabelMap):
-        return LabelMap(out, vol.spacing, vol.scheme, new_affine)
-    return Volume3D(out, vol.spacing, new_affine)

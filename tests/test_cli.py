@@ -2,10 +2,13 @@ import gzip
 import json
 import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import drsynth
 from drsynth.checkpoints import Checkpoint, read_checkpoint, write_checkpoint
 from drsynth.cli import (
     SIDECAR_FORMAT,
@@ -25,6 +28,17 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_cli_import_leaves_scipy_spatial_unloaded():
+    # only `evaluate` needs the KD-tree; every other command skips its import cost
+    src = os.path.dirname(os.path.dirname(drsynth.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys, drsynth.cli; print('scipy.spatial' in sys.modules)"],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +76,18 @@ def test_discover_skips_unreadable_volumes(tmp_path, capsys):
     triples = discover_subjects(str(tmp_path), skip_unreadable=True)
     assert [t[0] for t in triples] == ["good"]
     assert "bad" in capsys.readouterr().err
+
+
+def test_discover_rejects_two_files_for_one_role(tmp_path, capsys):
+    write_subject(tmp_path, "good", dims=(8, 8, 8))
+    img, _ = write_subject(tmp_path, "x", dims=(8, 8, 8))
+    write_nifti(read_nifti(img), str(tmp_path / "x_image.nii"))
+    with pytest.raises(IoError, match="x_image.nii and .*x_image.nii.gz"):
+        discover_subjects(str(tmp_path))
+    triples = discover_subjects(str(tmp_path), skip_unreadable=True)
+    assert [t[0] for t in triples] == ["good"]
+    err = capsys.readouterr().err
+    assert err.startswith("warning: subject 'x': two _image files") and err.count("\n") == 1
 
 
 def test_discover_requires_directory(tmp_path):
@@ -253,6 +279,24 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
     assert not out_dir.exists()
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["subclasses = 0, 3", "subclasses = 3, 1", "svf_control_points = 0", "svf_steps = -1"],
+)
+def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(12, 12, 12))
+    section = "[synthgen]" if line.startswith("subclasses") else "[augment]"
+    cfg = tmp_path / "bad.ini"
+    cfg.write_text(f"{section}\n{line}\n")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--config", str(cfg), "--in", str(in_dir), "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert not out_dir.exists()
+
+
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_failed_sample_names_subject_and_index(tmp_path, capsys, workers):
     in_dir = tmp_path / "in"
@@ -367,6 +411,10 @@ def test_interpolate_flag_conflicts_and_bad_values(tmp_path, capsys):
     assert code == 1 and err.startswith("error: ConfigError:")
     code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", "0,zebra", "--out", str(tmp_path / "x"))
     assert code == 1 and err.startswith("error: ConfigError:")
+    for empty in ("", ",", " "):
+        code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", empty, "--out", str(tmp_path / "x"))
+        assert code == 1 and err.startswith("error: ConfigError: --alphas: no values")
+    assert not (tmp_path / "x").exists()
     code, _, err = run(
         capsys, "interpolate", pa, pb, "--alpha", "1.5", "--out", str(tmp_path / "x.ckpt")
     )

@@ -104,6 +104,12 @@ def test_value_parse_errors(tmp_path):
         "[epg]\nvoxelwise = maybe\n",
         "[epg]\nreference_2 = 100:200 10:20\n",  # missing pd interval
         "[epg]\nreference_x = 100:200 10:20 1:1\n",  # class id not an int
+        "[synthgen]\nsubclasses = 0, 3\n",  # fewer than one subclass
+        "[synthgen]\nsubclasses = 3, 1\n",  # inverted range
+        "[synthgen]\nnonbrain_subclasses = 0, 0\n",
+        "[augment]\nsvf_control_points = 0\n",
+        "[augment]\nbias_control_points = 0\n",
+        "[augment]\nsvf_steps = -1\n",
     ]
     for text in cases:
         p.write_text(text)

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from drsynth import epg
 from drsynth.epg import (
     EpgSequenceParams,
     ReferenceInterval,
@@ -204,27 +205,24 @@ def test_rendered_background_is_exactly_zero():
 
 def test_rendered_value_is_pd_times_echo():
     seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=160.0, te_eff_ms=91.8)
-    vol = render_epg_volume(small_label_map(), EXAMPLE_TABLE, seq, precision="double")
+    vol = render_epg_volume(small_label_map(), EXAMPLE_TABLE, seq)
     k = seq.echo_index
-    echo = epg_fse_echoes(EXAMPLE_TABLE[1], seq)[k - 1]
+    t1, t2 = np.array([EXAMPLE_TABLE[1].t1_ms]), np.array([EXAMPLE_TABLE[1].t2_ms])
+    echo = epg_fse_echoes_batch(t1, t2, seq, n_echoes=k, dtype=np.complex64)[k - 1, 0]
     want = np.float32(0.8) * np.float32(echo)
     assert vol.data[1, 0, 0] == want
 
 
-def test_per_class_and_voxelwise_routes_agree_bitwise():
+def test_per_class_and_voxelwise_routes_agree_bitwise(monkeypatch):
     seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=155.0, te_eff_ms=150.0)
     lab = small_label_map()
-    for precision in ("single", "double"):
-        by_class = render_epg_volume(lab, EXAMPLE_TABLE, seq, precision=precision)
-        by_voxel = render_epg_volume(
-            lab, EXAMPLE_TABLE, seq, voxelwise=True, batch_voxels=17, precision=precision
-        )
-        assert by_class.data.tobytes() == by_voxel.data.tobytes()
+    monkeypatch.setattr(epg, "_SPIN_BATCH", 17)  # several batches over the 144 voxels
+    by_class = render_epg_volume(lab, EXAMPLE_TABLE, seq)
+    by_voxel = render_epg_volume(lab, EXAMPLE_TABLE, seq, voxelwise=True)
+    assert by_class.data.tobytes() == by_voxel.data.tobytes()
 
 
 def test_render_requires_full_relaxometry_table():
     seq = EpgSequenceParams(te_eff_ms=91.8)
     with pytest.raises(MissingParams):
         render_epg_volume(small_label_map(), {1: EXAMPLE_TABLE[1]}, seq)
-    with pytest.raises(InvalidRange):
-        render_epg_volume(small_label_map(), EXAMPLE_TABLE, seq, precision="half")

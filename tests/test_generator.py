@@ -270,10 +270,11 @@ def test_iter_samples_round_robin():
     assert [p.provenance["subject"] for p in pairs] == ["a", "b", "c", "a", "b"]
     assert [p.provenance["sample_index"] for p in pairs] == [0, 1, 2, 3, 4]
 
-    shifted = list(iter_samples(subjects, cfg, 2, start_index=3))
-    assert [p.provenance["subject"] for p in shifted] == ["a", "b"]
-    # sample index 3 reproduces the streamed sample bit for bit
-    assert shifted[0].image.data.tobytes() == pairs[3].image.data.tobytes()
+    # streamed sample 3 is the one generate_sample renders for (subject a, index 3)
+    labels, intensity = subjects[0][1:]
+    want = generate_sample(labels, intensity, cfg, 3, subject_id="a")
+    assert pairs[3].image.data.tobytes() == want.image.data.tobytes()
+    assert pairs[3].labels.data.tobytes() == want.labels.data.tobytes()
 
 
 def test_iter_samples_requires_subjects():

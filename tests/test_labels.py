@@ -59,15 +59,6 @@ def test_meta_classes_nonbrain_comes_from_image():
     np.testing.assert_array_equal(out.data.ravel(), [0, 4, 0, 4])
 
 
-def test_meta_classes_custom_table():
-    labels = LabelMap(np.full((2, 2, 2), 3, np.int32), (1, 1, 1), LabelScheme.FETA7)
-    img = Volume3D(np.zeros((2, 2, 2), np.float32), (1, 1, 1))
-    out = build_meta_classes(labels, img, table={3: 2})
-    assert set(np.unique(out.data)) == {2}
-    with pytest.raises(UnknownLabel):
-        build_meta_classes(labels, img, table={8: 1})
-
-
 def test_gmm_fit_validates_itself():
     ok = dict(
         k=1,

@@ -9,7 +9,6 @@ from drsynth.volume import (
     LabelMap,
     LabelScheme,
     Volume3D,
-    crop_or_pad,
     resample,
     same_grid,
     sample_at_voxels,
@@ -135,8 +134,6 @@ def test_resample_labels_stay_integer(rng):
     assert isinstance(out, LabelMap)
     assert out.data.dtype == np.int32
     assert out.scheme is LabelScheme.FETA7
-    with pytest.raises(ValueError):
-        resample(lm, (2.0, 2.0, 2.0), InterpKind.TRILINEAR)
 
 
 def test_resample_rejects_bad_spacing():
@@ -154,19 +151,3 @@ def test_resampled_dims_formula(n, src, tgt):
     vol = Volume3D(np.zeros((n, 3, 3), np.float32), (src, 1.0, 1.0))
     out = resample(vol, (tgt, 1.0, 1.0))
     assert out.dims[0] == max(int(np.ceil(n * src / tgt - 1e-9)), 1)
-
-
-def test_crop_or_pad_round_trip(rng):
-    vol = Volume3D(rng.random((6, 7, 8), dtype=np.float32), (1.0, 1.2, 0.9))
-    padded = crop_or_pad(vol, (10, 11, 12))
-    back = crop_or_pad(padded, (6, 7, 8))
-    np.testing.assert_array_equal(back.data, vol.data)
-    np.testing.assert_allclose(back.affine, vol.affine, atol=1e-12)
-
-
-def test_crop_or_pad_preserves_world_positions():
-    aff = np.diag((2.0, 2.0, 2.0, 1.0))
-    vol = Volume3D(np.zeros((6, 6, 6), np.float32), (2.0, 2.0, 2.0), affine=aff)
-    out = crop_or_pad(vol, (4, 4, 4))
-    # crop starts at voxel 1 -> world origin moves by one 2 mm voxel
-    np.testing.assert_allclose(out.affine[:3, 3], (2.0, 2.0, 2.0))
