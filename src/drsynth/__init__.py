@@ -77,7 +77,7 @@ from .metrics import (
 )
 from .nifti import read_nifti, write_nifti
 from .rng import STAGE_IDS, make_stream
-from .volume import InterpKind, LabelMap, LabelScheme, Volume3D, resample
+from .volume import LabelMap, LabelScheme, Volume3D, resample
 
 __version__ = "0.1.0"
 
@@ -97,7 +97,6 @@ __all__ = [
     "GeneratorMode",
     "GmmFit",
     "GmmParams",
-    "InterpKind",
     "LabelMap",
     "LabelScheme",
     "META_CLASS_TABLE",

@@ -10,8 +10,9 @@ separable Gaussian blur, and acquisition-resolution simulation
 
 Two named profiles select which of these ``generator.generate_sample``
 applies: the full randomization chain (everything on, parameters drawn per
-sample) and a light chain (each of affine, gamma, noise and blur gated at
-probability 0.5, drawn up front as a ``SimplePlan``).
+sample) and a light chain (affine, gamma, noise and blur each gated at
+``op_probability``, drawn up front as a ``SimplePlan`` whose set fields
+the sidecar records).
 
 All randomness comes through an explicit ``numpy.random.Generator`` and
 draws happen in a fixed order, so a stage is reproducible from its stream.
@@ -26,7 +27,7 @@ import numpy as np
 from scipy import ndimage
 
 from .errors import InvalidGamma, InvalidRange
-from .volume import InterpKind, LabelMap, Volume3D, resample, sample_at_voxels
+from .volume import Volume3D, resample, sample_at_voxels
 
 _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -78,14 +79,6 @@ class AffineParams:
         m[:3, :3] = rot @ sh @ np.diag(self.scale)
         m[:3, 3] = self.translation
         return m
-
-    def as_dict(self) -> dict:
-        return {
-            "rotation": list(self.rotation),
-            "scale": list(self.scale),
-            "translation": list(self.translation),
-            "shear": list(self.shear),
-        }
 
 
 def draw_affine(ranges: AffineRanges, rng: np.random.Generator) -> AffineParams:
@@ -373,9 +366,10 @@ def apply_transform(
 
     Each output voxel samples the input at the affine image (about the
     volume center, in physical mm) of its own position plus the local
-    displacement.  Out-of-bounds samples take 0.  Label maps use
-    nearest-neighbour lookup and stay int32, volumes trilinear
-    interpolation.  ``coords`` short-circuits the grid build when the
+    displacement.  Out-of-bounds samples take 0.  ``sample_at_voxels``
+    picks the interpolation from the data: label maps (int32) are looked
+    up nearest-neighbour and stay int32, volumes (float32) are sampled
+    trilinearly.  ``coords`` short-circuits the grid build when the
     caller warps several volumes through one transform.
     """
     if affine is None and field is None and coords is None:
@@ -383,10 +377,7 @@ def apply_transform(
 
     if coords is None:
         coords = transform_coordinates(vol.dims, vol.spacing, affine, field)
-    if isinstance(vol, LabelMap):
-        data = sample_at_voxels(vol.data, coords, InterpKind.NEAREST, oob="zero")
-        return vol.with_data(data.astype(np.int32))
-    return vol.with_data(sample_at_voxels(vol.data, coords, InterpKind.TRILINEAR, oob="zero"))
+    return vol.with_data(sample_at_voxels(vol.data, coords))
 
 
 # ---------------------------------------------------------------------------
@@ -555,22 +546,6 @@ class SimplePlan:
     gamma: float | None = None
     noise_sigma: float = 0.0
     blur_sigma_mm: float | None = None
-
-    def as_dict(self) -> dict:
-        out = {
-            "apply_affine": self.apply_affine,
-            "apply_gamma": self.apply_gamma,
-            "apply_noise": self.apply_noise,
-            "apply_blur": self.apply_blur,
-            "noise_sigma": self.noise_sigma,
-        }
-        if self.affine is not None:
-            out["affine"] = self.affine.as_dict()
-        if self.gamma is not None:
-            out["gamma"] = self.gamma
-        if self.blur_sigma_mm is not None:
-            out["blur_sigma_mm"] = self.blur_sigma_mm
-        return out
 
 
 def draw_simple_plan(

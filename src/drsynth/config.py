@@ -9,8 +9,9 @@ intervals use one key per class: ``reference_3 = t1lo:t1hi t2lo:t2hi
 pdlo:pdhi``.
 
 Loading starts from the package defaults and overrides whatever keys are
-present.  Unknown sections or keys, and counts out of range (subclass
-ranges need 1 <= lo <= hi, control points >= 1, SVF steps >= 0), raise
+present.  Unknown sections or keys, and values outside their key's
+domain (numbers are finite and every pair has lo <= hi; e.g. subclass
+ranges need lo >= 1, probabilities lie in [0, 1], T1/T2 > 0), raise
 ConfigError.  ``config_sections`` emits every effective value, defaults
 included, which generation writes into provenance sidecars.  Both
 directions are driven by one field table, ``_FIELDS``.
@@ -19,6 +20,7 @@ directions are driven by one field table, ``_FIELDS``.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import replace
 
 from .augment import AugmentProfile
@@ -33,9 +35,12 @@ def _tokens(text: str) -> list[str]:
 
 def _float(text: str, ctx: str) -> float:
     try:
-        return float(text)
-    except ValueError as exc:
-        raise ConfigError(f"{ctx}: expected a number, got {text!r}") from exc
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{ctx}: expected a finite number, got {text!r}")
+    return value
 
 
 def _int(text: str, ctx: str) -> int:
@@ -45,40 +50,40 @@ def _int(text: str, ctx: str) -> int:
         raise ConfigError(f"{ctx}: expected an integer, got {text!r}") from exc
 
 
-def _pair(text: str, ctx: str, cast=_float) -> tuple:
-    toks = _tokens(text)
-    if len(toks) != 2:
-        raise ConfigError(f"{ctx}: expected 'lo, hi', got {text!r}")
-    return cast(toks[0], ctx), cast(toks[1], ctx)
+def _num(n=1, cast=_float, lo=None, hi=None, lo_open=False, hi_open=False):
+    """Parse ``n`` numbers (a "lo, hi" pair when n is 2) inside a domain.
 
+    Every value must be >= lo (> lo when ``lo_open``) and <= hi (< hi when
+    ``hi_open``); a None bound is not checked.  A pair must have lo <= hi
+    and parses to a tuple.
+    """
+    rules = [f"{'>' if lo_open else '>='} {lo}"] * (lo is not None)
+    rules += [f"{'<' if hi_open else '<='} {hi}"] * (hi is not None)
 
-def _k_range(text: str, ctx: str) -> tuple[int, int]:
-    lo, hi = _pair(text, ctx, _int)
-    if not 1 <= lo <= hi:
-        raise ConfigError(f"{ctx}: need 1 <= lo <= hi, got {lo}, {hi}")
-    return lo, hi
-
-
-def _int_at_least(low: int):
-    def parse(text: str, ctx: str) -> int:
-        value = _int(text, ctx)
-        if value < low:
-            raise ConfigError(f"{ctx}: must be >= {low}, got {value}")
-        return value
+    def parse(text: str, ctx: str):
+        toks = _tokens(text) if n == 2 else [text]
+        if len(toks) != n:
+            raise ConfigError(f"{ctx}: expected 'lo, hi', got {text!r}")
+        vals = tuple(cast(t, ctx) for t in toks)
+        if n == 2 and not vals[0] <= vals[1]:
+            raise ConfigError(f"{ctx}: need lo <= hi, got {vals[0]}, {vals[1]}")
+        for v in vals:
+            above_lo = lo is None or (v > lo if lo_open else v >= lo)
+            below_hi = hi is None or (v < hi if hi_open else v <= hi)
+            if not (above_lo and below_hi):
+                raise ConfigError(f"{ctx}: must be {' and '.join(rules)}, got {v}")
+        return vals if n == 2 else vals[0]
 
     return parse
+
+
+_PAIR, _NONNEG_PAIR, _POS_PAIR = _num(2), _num(2, lo=0), _num(2, lo=0, lo_open=True)
+_NONNEG, _K_RANGE = _num(lo=0), _num(2, _int, lo=1)
 
 
 def _optional(parse):
     """Blank text means an unset optional key (None)."""
     return lambda text, ctx: parse(text, ctx) if text.strip() else None
-
-
-def _slice_axis(text: str, ctx: str) -> int:
-    axis = _int(text, ctx)
-    if axis not in (0, 1, 2):
-        raise ConfigError(f"{ctx}: must be 0, 1, or 2, got {axis}")
-    return axis
 
 
 def _bool(text: str, ctx: str) -> bool:
@@ -102,24 +107,17 @@ def _enum(kind):
 
 
 def _interval(text: str, ctx: str) -> ReferenceInterval:
+    """T1 and T2 intervals need lo > 0, the pd interval lo >= 0."""
     toks = _tokens(text)
-    if len(toks) != 3:
+    if len(toks) != 3 or any(tok.count(":") != 1 for tok in toks):
         raise ConfigError(f"{ctx}: expected 't1lo:t1hi t2lo:t2hi pdlo:pdhi', got {text!r}")
-    pairs = []
-    for tok in toks:
-        lohi = tok.split(":")
-        if len(lohi) != 2:
-            raise ConfigError(f"{ctx}: expected lo:hi, got {tok!r}")
-        pairs.append((_float(lohi[0], ctx), _float(lohi[1], ctx)))
-    return ReferenceInterval(t1_ms=pairs[0], t2_ms=pairs[1], pd=pairs[2])
+    domains = (_POS_PAIR, _POS_PAIR, _NONNEG_PAIR)
+    t1, t2, pd = (parse(tok.replace(":", " "), ctx) for parse, tok in zip(domains, toks))
+    return ReferenceInterval(t1_ms=t1, t2_ms=t2, pd=pd)
 
 
 def _fmt_pair(pair) -> str:
-    return f"{pair[0]!r}, {pair[1]!r}"
-
-
-def _fmt_int_pair(pair) -> str:
-    return "" if pair is None else f"{pair[0]}, {pair[1]}"
+    return "" if pair is None else f"{pair[0]!r}, {pair[1]!r}"
 
 
 def _fmt_optional(value) -> str:
@@ -137,41 +135,43 @@ def _fmt_interval(iv: ReferenceInterval) -> str:
 # One row per config key: (section, key, GenerationConfig attribute path,
 # parse(text, ctx), format(value)).  Row order is the order keys are
 # written and applied.  A key ending in "_" is a per-class family over a
-# dict attribute: "reference_3" holds entry 3.
+# dict attribute: "reference_3" holds entry 3.  Each parse checks its
+# key's domain; a bound that spans keys (TE_eff within [esp, etl * esp])
+# is left to EpgSequenceParams when a sample draws it.
 _FIELDS = (
     ("synthgen", "mode", "mode", _enum(GeneratorMode), lambda v: v.value),
     ("synthgen", "profile", "profile", _enum(AugmentProfile), lambda v: v.value),
-    ("synthgen", "mu", "mu_range", _pair, _fmt_pair),
-    ("synthgen", "sigma", "sigma_range", _pair, _fmt_pair),
-    ("synthgen", "subclasses", "k_range", _k_range, _fmt_int_pair),
-    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", _optional(_k_range), _fmt_int_pair),
-    ("synthgen", "master_seed", "master_seed", _int, str),
-    ("augment", "rotation_rad", "affine.rotation_rad", _float, repr),
-    ("augment", "scale_delta", "affine.scale_delta", _float, repr),
-    ("augment", "translation_mm", "affine.translation_mm", _float, repr),
-    ("augment", "shear", "affine.shear", _float, repr),
-    ("augment", "svf_control_points", "svf.control_points", _int_at_least(1), str),
-    ("augment", "svf_sigma_vox", "svf.sigma_vox", _float, repr),
-    ("augment", "svf_steps", "svf.integration_steps", _int_at_least(0), str),
-    ("augment", "bias_control_points", "corruption.bias_control_points", _int_at_least(1), str),
-    ("augment", "bias_log_sigma", "corruption.bias_log_sigma", _float, repr),
-    ("augment", "gamma", "corruption.gamma_range", _pair, _fmt_pair),
-    ("augment", "noise_sigma", "corruption.noise_sigma_range", _pair, _fmt_pair),
-    ("augment", "blur_sigma_mm", "corruption.blur_sigma_mm_range", _pair, _fmt_pair),
-    ("augment", "simple_noise_sigma", "corruption.simple_noise_sigma", _float, repr),
-    ("augment", "op_probability", "corruption.op_probability", _float, repr),
-    ("augment", "inplane_mm", "resolution.inplane_range_mm", _pair, _fmt_pair),
-    ("augment", "thickness_mm", "resolution.thickness_range_mm", _pair, _fmt_pair),
-    ("augment", "slice_axis", "resolution.slice_axis", _optional(_slice_axis), _fmt_optional),
-    ("epg", "esp_ms", "sequence.esp_ms", _float, repr),
-    ("epg", "etl", "sequence.etl", _int, str),
+    ("synthgen", "mu", "mu_range", _PAIR, _fmt_pair),
+    ("synthgen", "sigma", "sigma_range", _NONNEG_PAIR, _fmt_pair),
+    ("synthgen", "subclasses", "k_range", _K_RANGE, _fmt_pair),
+    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", _optional(_K_RANGE), _fmt_pair),
+    ("synthgen", "master_seed", "master_seed", _num(1, _int, lo=0), str),
+    ("augment", "rotation_rad", "affine.rotation_rad", _NONNEG, repr),
+    ("augment", "scale_delta", "affine.scale_delta", _num(lo=0, hi=1, hi_open=True), repr),
+    ("augment", "translation_mm", "affine.translation_mm", _NONNEG, repr),
+    ("augment", "shear", "affine.shear", _NONNEG, repr),
+    ("augment", "svf_control_points", "svf.control_points", _num(1, _int, lo=1), str),
+    ("augment", "svf_sigma_vox", "svf.sigma_vox", _NONNEG, repr),
+    ("augment", "svf_steps", "svf.integration_steps", _num(1, _int, lo=0), str),
+    ("augment", "bias_control_points", "corruption.bias_control_points", _num(1, _int, lo=1), str),
+    ("augment", "bias_log_sigma", "corruption.bias_log_sigma", _NONNEG, repr),
+    ("augment", "gamma", "corruption.gamma_range", _POS_PAIR, _fmt_pair),
+    ("augment", "noise_sigma", "corruption.noise_sigma_range", _NONNEG_PAIR, _fmt_pair),
+    ("augment", "blur_sigma_mm", "corruption.blur_sigma_mm_range", _NONNEG_PAIR, _fmt_pair),
+    ("augment", "simple_noise_sigma", "corruption.simple_noise_sigma", _NONNEG, repr),
+    ("augment", "op_probability", "corruption.op_probability", _num(lo=0, hi=1), repr),
+    ("augment", "inplane_mm", "resolution.inplane_range_mm", _POS_PAIR, _fmt_pair),
+    ("augment", "thickness_mm", "resolution.thickness_range_mm", _POS_PAIR, _fmt_pair),
+    ("augment", "slice_axis", "resolution.slice_axis", _optional(_num(1, _int, lo=0, hi=2)), _fmt_optional),
+    ("epg", "esp_ms", "sequence.esp_ms", _num(lo=0, lo_open=True), repr),
+    ("epg", "etl", "sequence.etl", _num(1, _int, lo=1), str),
     ("epg", "excitation_deg", "sequence.excitation_deg", _float, repr),
-    ("epg", "refocus_deg", "sequence.refocus_range_deg", _pair, _fmt_pair),
-    ("epg", "te_eff_ms", "sequence.te_eff_range_ms", _pair, _fmt_pair),
+    ("epg", "refocus_deg", "sequence.refocus_range_deg", _NONNEG_PAIR, _fmt_pair),
+    ("epg", "te_eff_ms", "sequence.te_eff_range_ms", _POS_PAIR, _fmt_pair),
     ("epg", "voxelwise", "epg_voxelwise", _bool, lambda v: "true" if v else "false"),
-    ("epg", "t1_ms", "relaxometry.t1_range_ms", _pair, _fmt_pair),
-    ("epg", "t2_ms", "relaxometry.t2_range_ms", _pair, _fmt_pair),
-    ("epg", "pd", "relaxometry.pd_range", _pair, _fmt_pair),
+    ("epg", "t1_ms", "relaxometry.t1_range_ms", _POS_PAIR, _fmt_pair),
+    ("epg", "t2_ms", "relaxometry.t2_range_ms", _POS_PAIR, _fmt_pair),
+    ("epg", "pd", "relaxometry.pd_range", _NONNEG_PAIR, _fmt_pair),
     ("epg", "reference_", "relaxometry.reference", _interval, _fmt_interval),
 )
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 import hashlib
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -100,9 +100,6 @@ class GenerationConfig:
     sequence: SequenceRanges = field(default_factory=SequenceRanges)
     relaxometry: RelaxometryRanges = field(default_factory=RelaxometryRanges)
     epg_voxelwise: bool = True
-
-    def with_seed(self, master_seed: int) -> "GenerationConfig":
-        return replace(self, master_seed=int(master_seed))
 
 
 @dataclass(frozen=True)
@@ -257,13 +254,13 @@ def generate_sample(
     svf = None
     if simple:
         plan = draw_simple_plan(cfg.affine, cfg.corruption, stream("profile"))
-        drawn["simple_plan"] = plan.as_dict()
+        drawn["simple_plan"] = {k: v for k, v in asdict(plan).items() if v is not None}
         affine = plan.affine  # None when the affine gate is off
     else:
         affine = augment.draw_affine(cfg.affine, stream("spatial_affine"))
         ctrl = augment.draw_svf_control(cfg.svf, stream("spatial_svf"))
         svf = augment.svf_from_control(ctrl, labels.dims, labels.spacing, cfg.svf.integration_steps)
-        drawn["affine"] = affine.as_dict()
+        drawn["affine"] = asdict(affine)
         drawn["svf_control_sha256"] = _sha(ctrl)
     if affine is not None:
         coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf)
@@ -285,13 +282,7 @@ def generate_sample(
         image = render_epg_volume(
             partition.subclass_map, relax, seq, voxelwise=cfg.epg_voxelwise
         )
-        drawn["sequence"] = {
-            "esp_ms": seq.esp_ms,
-            "etl": seq.etl,
-            "excitation_deg": seq.excitation_deg,
-            "refocus_deg": float(seq.refocus_schedule()[0]),
-            "te_eff_ms": seq.te_eff_ms,
-        }
+        drawn["sequence"] = asdict(seq)
         drawn["relaxometry"] = {
             str(i): [r.t1_ms, r.t2_ms, r.pd] for i, r in sorted(relax.items())
         }

@@ -26,7 +26,22 @@ from .fileio import atomic_write
 from .volume import LabelMap, LabelScheme, Volume3D
 
 HEADER_SIZE = 348
-_STRUCT = "<i10s18sihcc8h3fhhhh8ffffhbbffffii80s24shh3f3f4f4f4f16s4s"
+# The header's fields in file order: (name, struct code, count).  A count
+# above 1 is that many values, except for "s", where it is the byte length
+# of one string.
+_HEADER = (
+    ("sizeof_hdr", "i", 1), ("data_type", "s", 10), ("db_name", "s", 18), ("extents", "i", 1),
+    ("session_error", "h", 1), ("regular", "c", 1), ("dim_info", "c", 1), ("dim", "h", 8),
+    ("intent_p", "f", 3), ("intent_code", "h", 1), ("datatype", "h", 1), ("bitpix", "h", 1),
+    ("slice_start", "h", 1), ("pixdim", "f", 8), ("vox_offset", "f", 1), ("scl_slope", "f", 1),
+    ("scl_inter", "f", 1), ("slice_end", "h", 1), ("slice_code", "b", 1), ("xyzt_units", "b", 1),
+    ("cal_max", "f", 1), ("cal_min", "f", 1), ("slice_duration", "f", 1), ("toffset", "f", 1),
+    ("glmax", "i", 1), ("glmin", "i", 1), ("descrip", "s", 80), ("aux_file", "s", 24),
+    ("qform_code", "h", 1), ("sform_code", "h", 1), ("quatern", "f", 3), ("qoffset", "f", 3),
+    ("srow_x", "f", 4), ("srow_y", "f", 4), ("srow_z", "f", 4), ("intent_name", "s", 16),
+    ("magic", "s", 4),
+)
+_STRUCT = "<" + "".join(f"{count if count > 1 else ''}{code}" for _, code, count in _HEADER)
 assert struct.calcsize(_STRUCT) == HEADER_SIZE
 
 _DTYPES = {
@@ -67,32 +82,12 @@ def _unpack_header(blob: bytes, path):
         swapped = True
         if fields[0] != HEADER_SIZE:
             raise FormatError(f"{path}: sizeof_hdr is not 348 in either byte order")
-    keys = (
-        "sizeof_hdr", "data_type", "db_name", "extents", "session_error", "regular",
-        "dim_info", "dim", "intent_p", "intent_code", "datatype", "bitpix",
-        "slice_start", "pixdim", "vox_offset", "scl_slope", "scl_inter", "slice_end",
-        "slice_code", "xyzt_units", "cal_max", "cal_min", "slice_duration", "toffset",
-        "glmax", "glmin", "descrip", "aux_file", "qform_code", "sform_code",
-        "quatern", "qoffset", "srow_x", "srow_y", "srow_z", "intent_name", "magic",
-    )
     out = {}
     i = 0
-    for key in keys:
-        if key == "dim":
-            out[key] = fields[i : i + 8]
-            i += 8
-        elif key in ("intent_p", "quatern", "qoffset"):
-            out[key] = fields[i : i + 3]
-            i += 3
-        elif key == "pixdim":
-            out[key] = fields[i : i + 8]
-            i += 8
-        elif key in ("srow_x", "srow_y", "srow_z"):
-            out[key] = fields[i : i + 4]
-            i += 4
-        else:
-            out[key] = fields[i]
-            i += 1
+    for key, code, count in _HEADER:
+        n = 1 if code == "s" else count
+        out[key] = fields[i] if n == 1 else fields[i : i + n]
+        i += n
     return out, swapped
 
 

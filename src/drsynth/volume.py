@@ -18,11 +18,6 @@ from scipy import ndimage
 from .errors import GeometryError, UnknownLabel
 
 
-class InterpKind(enum.Enum):
-    NEAREST = "nearest"
-    TRILINEAR = "trilinear"
-
-
 class LabelScheme(enum.Enum):
     """Known label vocabularies.
 
@@ -136,26 +131,19 @@ def require_same_grid(a, b, what: str = "inputs"):
         raise GeometryError(f"{what} must share dims, spacing, and affine")
 
 
-def sample_at_voxels(
-    data: np.ndarray,
-    coords: np.ndarray,
-    interp: InterpKind,
-    oob: str = "zero",
-) -> np.ndarray:
-    """Sample ``data`` at fractional voxel coordinates.
+def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") -> np.ndarray:
+    """Sample ``data`` at fractional voxel coordinates, keeping its dtype.
 
-    coords has shape (3, ...) in voxel units.  ``oob`` selects what lies
-    beyond the voxel-center hull: "zero" pads with zeros (background),
-    "clamp" replicates the edge.
+    Integer data (labels) is looked up nearest-neighbour, float data
+    interpolated trilinearly.  coords has shape (3, ...) in voxel units.
+    ``oob`` selects what lies beyond the voxel-center hull: "zero" pads
+    with zeros (background), "clamp" replicates the edge.
     """
-    order = 0 if interp is InterpKind.NEAREST else 1
-    if oob == "zero":
-        mode, cval = "grid-constant", 0.0
-    elif oob == "clamp":
-        mode, cval = "nearest", 0.0
-    else:
+    order = 0 if np.issubdtype(data.dtype, np.integer) else 1
+    modes = {"zero": "grid-constant", "clamp": "nearest"}
+    if oob not in modes:
         raise ValueError(f"unknown oob mode {oob!r}")
-    return ndimage.map_coordinates(data, coords, order=order, mode=mode, cval=cval)
+    return ndimage.map_coordinates(data, coords, order=order, mode=modes[oob])
 
 
 def _resampled_geometry(vol, target_spacing):
@@ -193,7 +181,6 @@ def resample(vol, target_spacing, *, oob: str = "zero"):
 
     tgt = tuple(float(t) for t in target_spacing)
     if isinstance(vol, LabelMap):
-        data = sample_at_voxels(vol.data, coords, InterpKind.NEAREST, oob=oob)
-        return LabelMap(data.astype(np.int32), tgt, vol.scheme, new_affine)
-    data = sample_at_voxels(vol.data.astype(np.float64), coords, InterpKind.TRILINEAR, oob=oob)
+        return LabelMap(sample_at_voxels(vol.data, coords, oob), tgt, vol.scheme, new_affine)
+    data = sample_at_voxels(vol.data.astype(np.float64), coords, oob)
     return Volume3D(data.astype(np.float32), tgt, new_affine)

@@ -386,7 +386,3 @@ def test_simple_plan_gates_follow_probability():
     assert on.affine is not None and on.gamma is not None and on.blur_sigma_mm is not None
     assert (off.apply_affine, off.apply_gamma, off.apply_noise, off.apply_blur) == (False,) * 4
     assert off.affine is None and off.gamma is None and off.blur_sigma_mm is None
-    d = on.as_dict()
-    assert {"apply_affine", "apply_gamma", "apply_noise", "apply_blur", "noise_sigma"} <= set(d)
-    assert "affine" in d and "gamma" in d and "blur_sigma_mm" in d
-    assert "gamma" not in off.as_dict()

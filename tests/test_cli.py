@@ -219,6 +219,25 @@ def test_generate_seed_flag_overrides_config(tmp_path, capsys):
     assert (out_dir / "toy_s00000_seed99.json").exists()
 
 
+@pytest.mark.parametrize("cmd", ["generate", "epg", "cluster-inspect"])
+def test_negative_seed_is_config_error(tmp_path, capsys, cmd):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    image, labels = write_subject(in_dir, "toy", dims=(12, 12, 12))
+    out = str(tmp_path / "out")
+    cfg = tmp_path / "seed.ini"
+    cfg.write_text("[synthgen]\nmaster_seed = -2\n")
+    argv = {
+        "generate": ["--in", str(in_dir), "--out", out, "--seed", "-1"],
+        "epg": ["--out", out, "--seed", "-3"],
+        "cluster-inspect": ["--config", str(cfg), "--image", image, "--labels", labels, "--out-prefix", out],
+    }[cmd]
+    code, _, err = run(capsys, cmd, *argv)
+    assert code == 1
+    assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
 def test_generate_mode_and_profile_flags(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -281,15 +300,21 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
 
 @pytest.mark.parametrize(
     "line",
-    ["subclasses = 0, 3", "subclasses = 3, 1", "svf_control_points = 0", "svf_steps = -1"],
+    [
+        "subclasses = 0, 3", "subclasses = 3, 1", "svf_control_points = 0", "svf_steps = -1",
+        "sigma = -5, -1", "op_probability = 7", "noise_sigma = -0.5, -0.4", "mu = 5, 1",
+        "t2_ms = -5, -1", "master_seed = -2", "mu = 0, inf",
+    ],
 )
 def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
     write_subject(in_dir, "toy", dims=(12, 12, 12))
-    section = "[synthgen]" if line.startswith("subclasses") else "[augment]"
+    key = line.split(" = ")[0]
+    augment = ("svf_control_points", "svf_steps", "op_probability", "noise_sigma")
+    section = "augment" if key in augment else "epg" if key == "t2_ms" else "synthgen"
     cfg = tmp_path / "bad.ini"
-    cfg.write_text(f"{section}\n{line}\n")
+    cfg.write_text(f"[{section}]\n{line}\n")
     out_dir = tmp_path / "out"
     code, _, err = run(capsys, "generate", "--config", str(cfg), "--in", str(in_dir), "--out", str(out_dir))
     assert code == 1
@@ -552,7 +577,10 @@ def test_bench_reports_both_pipelines(tmp_path, capsys):
         block = report[pipeline]
         assert block["runs"] >= 1
         assert block["wall_median_s"] > 0
+        assert block["wall_max_s"] >= block["wall_median_s"]
         assert {"deform", "cluster", "render"} <= set(block["stages"])
+        assert all(s["max_s"] >= s["median_s"] for s in block["stages"].values())
+    assert "p95" not in report_path.read_text() and "p95" not in stdout
     assert report["epg_over_gmm_wall_ratio"] > 0
     machine = report["machine"]
     assert machine["cpu_count"] == os.cpu_count()

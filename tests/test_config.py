@@ -110,11 +110,62 @@ def test_value_parse_errors(tmp_path):
         "[augment]\nsvf_control_points = 0\n",
         "[augment]\nbias_control_points = 0\n",
         "[augment]\nsvf_steps = -1\n",
+        "[synthgen]\nsigma = -5, -1\n",  # negative standard deviation
+        "[augment]\nop_probability = 7\n",
+        "[augment]\nnoise_sigma = -0.5, -0.4\n",
+        "[synthgen]\nmu = 5, 1\n",  # inverted range
+        "[epg]\nt2_ms = -5, -1\n",
+        "[synthgen]\nmaster_seed = -2\n",
+        "[synthgen]\nmu = 0, inf\n",  # non-finite values fail whatever the key's bounds
+        "[epg]\nexcitation_deg = nan\n",
     ]
     for text in cases:
         p.write_text(text)
         with pytest.raises(ConfigError):
             load_config(p)
+
+
+# (section, key, values outside the key's domain, values on its edge)
+DOMAINS = [
+    ("synthgen", "mu", ["5, 1", "nan, 1"], ["-5, -1", "3, 3"]),
+    ("synthgen", "sigma", ["-5, -1", "-1, 2", "nan, 1"], ["0, 0", "0, 2"]),
+    ("synthgen", "master_seed", ["-1"], ["0"]),
+    ("augment", "rotation_rad", ["-0.1", "nan"], ["0"]),
+    ("augment", "scale_delta", ["-0.1", "1"], ["0", "0.99"]),
+    ("augment", "translation_mm", ["-1"], ["0"]),
+    ("augment", "shear", ["-0.1"], ["0"]),
+    ("augment", "svf_sigma_vox", ["-0.1"], ["0"]),
+    ("augment", "bias_log_sigma", ["-0.1"], ["0"]),
+    ("augment", "gamma", ["0, 1", "2, 1"], ["0.01, 1"]),
+    ("augment", "noise_sigma", ["-0.5, -0.4"], ["0, 0"]),
+    ("augment", "blur_sigma_mm", ["-1, 1"], ["0, 1"]),
+    ("augment", "simple_noise_sigma", ["-0.1"], ["0"]),
+    ("augment", "op_probability", ["7", "-0.01", "1.01"], ["0", "1"]),
+    ("augment", "inplane_mm", ["0, 1"], ["0.1, 1"]),
+    ("augment", "thickness_mm", ["0, 4"], ["0.1, 4"]),
+    ("augment", "slice_axis", ["-1", "3"], ["0", "2"]),
+    ("epg", "esp_ms", ["0"], ["0.1"]),
+    ("epg", "etl", ["0"], ["1"]),
+    ("epg", "refocus_deg", ["-1, 180"], ["0, 180"]),
+    ("epg", "te_eff_ms", ["0, 300"], ["1, 2"]),
+    ("epg", "t1_ms", ["0, 100"], ["1, 100"]),
+    ("epg", "t2_ms", ["-5, -1", "0, 10"], ["1, 10"]),
+    ("epg", "pd", ["-0.1, 1"], ["0, 0"]),
+    ("epg", "reference_1", ["0:10 5:6 1:1", "1:10 0:6 1:1", "1:10 5:6 -1:1", "10:1 5:6 1:1"],
+     ["1:10 5:6 0:0"]),
+]
+
+
+@pytest.mark.parametrize("section, key, bad, edge", DOMAINS, ids=[row[1] for row in DOMAINS])
+def test_every_range_key_checks_its_domain(tmp_path, section, key, bad, edge):
+    p = tmp_path / "domain.ini"
+    for value in bad:
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        with pytest.raises(ConfigError, match=f"{section}.{key}: "):
+            load_config(p)
+    for value in edge:
+        p.write_text(f"[{section}]\n{key} = {value}\n")
+        load_config(p)
 
 
 def test_missing_file_is_config_error(tmp_path):

@@ -1,7 +1,9 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from drsynth.augment import AffineRanges, AugmentProfile
+from drsynth.augment import AffineRanges, AugmentProfile, CorruptionConfig
 from drsynth.epg import ReferenceInterval, RelaxometryRanges
 from drsynth.errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
 from drsynth.generator import (
@@ -142,7 +144,7 @@ def test_generate_sample_varies_with_index_and_seed(subject):
     cfg = small_config()
     base = generate_sample(labels, intensity, cfg, 0)
     other_index = generate_sample(labels, intensity, cfg, 1)
-    other_seed = generate_sample(labels, intensity, cfg.with_seed(99), 0)
+    other_seed = generate_sample(labels, intensity, replace(cfg, master_seed=99), 0)
     assert base.image.data.tobytes() != other_index.image.data.tobytes()
     assert base.image.data.tobytes() != other_seed.image.data.tobytes()
 
@@ -189,6 +191,8 @@ def test_physics_modes_record_sequence_and_relaxometry(subject):
     drawn = pair.provenance["drawn"]
     assert "gmm" not in drawn
     seq = drawn["sequence"]
+    assert set(seq) == {"esp_ms", "etl", "excitation_deg", "refocus_deg", "te_eff_ms"}
+    assert type(seq["refocus_deg"]) is float
     assert seq["esp_ms"] == 6.12 and seq["etl"] == 150
     assert 150.0 <= seq["refocus_deg"] <= 180.0
     assert 90.0 <= seq["te_eff_ms"] <= 300.0
@@ -240,6 +244,21 @@ def test_simple_profile_draws_a_plan(subject):
     assert "simple_plan" in drawn
     assert "affine" not in drawn and "resolution_target_mm" not in drawn
     assert pair.image.data.min() == 0.0 and pair.image.data.max() == 1.0
+
+
+@pytest.mark.parametrize("p", [0.0, 1.0])
+def test_simple_plan_record_keeps_only_drawn_values(subject, p):
+    labels, intensity = subject
+    cfg = small_config(profile=AugmentProfile.SIMPLE, corruption=CorruptionConfig(op_probability=p))
+    plan = generate_sample(labels, intensity, cfg, 0).provenance["drawn"]["simple_plan"]
+    gates = {"apply_affine", "apply_gamma", "apply_noise", "apply_blur"}
+    assert gates | {"noise_sigma"} <= set(plan)
+    assert all(plan[g] is bool(p) for g in gates)
+    for key in ("affine", "gamma", "blur_sigma_mm"):
+        assert (key in plan) is bool(p)
+    if p:
+        assert set(plan["affine"]) == {"rotation", "scale", "translation", "shear"}
+        assert len(plan["affine"]["shear"]) == 6
 
 
 def test_nonbrain_k_range_overrides_class_four(subject):

@@ -5,7 +5,6 @@ from hypothesis import strategies as st
 
 from drsynth.errors import GeometryError, UnknownLabel
 from drsynth.volume import (
-    InterpKind,
     LabelMap,
     LabelScheme,
     Volume3D,
@@ -77,17 +76,18 @@ def test_sample_at_voxels_matches_brute_force(rng):
     data = rng.random((5, 6, 7))
     coords = rng.uniform(-1.5, 7.5, size=(3, 40))
     for oob in ("zero", "clamp"):
-        got = sample_at_voxels(data, coords, InterpKind.TRILINEAR, oob=oob)
+        got = sample_at_voxels(data, coords, oob=oob)
         want = [sample_trilinear(data, coords[:, i], oob) for i in range(coords.shape[1])]
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
 def test_sample_nearest_matches_brute_force(rng):
-    data = rng.random((5, 6, 7))
+    data = rng.integers(1, 100, size=(5, 6, 7), dtype=np.int32)  # integer data samples nearest
     # keep coordinates away from .5 ties, where rounding conventions differ
     coords = np.round(rng.uniform(-1.4, 7.4, size=(3, 40)), 1) + 0.21
     for oob in ("zero", "clamp"):
-        got = sample_at_voxels(data, coords, InterpKind.NEAREST, oob=oob)
+        got = sample_at_voxels(data, coords, oob=oob)
+        assert got.dtype == np.int32
         want = [sample_nearest(data, coords[:, i], oob) for i in range(coords.shape[1])]
         np.testing.assert_allclose(got, want, atol=0)
 
@@ -95,7 +95,7 @@ def test_sample_nearest_matches_brute_force(rng):
 def test_sample_at_integer_coords_is_exact(rng):
     data = rng.random((4, 4, 4))
     coords = np.stack(np.meshgrid(*(np.arange(4.0),) * 3, indexing="ij")).reshape(3, -1)
-    got = sample_at_voxels(data, coords, InterpKind.TRILINEAR)
+    got = sample_at_voxels(data, coords)
     np.testing.assert_array_equal(got.reshape(4, 4, 4), data)
 
 
