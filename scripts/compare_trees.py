@@ -2,9 +2,10 @@
 """Check that this checkout writes the same output bytes as an earlier revision.
 
 Unpacks ``--base REV`` with ``git archive`` into a temporary directory,
-writes two demo subjects (48x40x36 and 32^3, each with a non-brain shell:
-label 0 with non-zero intensity around the labelled anatomy), and runs
-``python3 -m drsynth.cli`` from both source trees over one command matrix:
+writes two seeded subjects with ``perfbench/subjects.py`` (48x40x36 and
+32^3 at 1 mm, each with a non-brain shell: label 0 with non-zero intensity
+around the labelled anatomy), and runs ``python3 -m drsynth.cli`` from
+both source trees over one command matrix:
 
 * ``generate --count 4 --seed 3`` for each ``--mode`` of fetalsynthseg,
   synthseg and randfabian x ``--profile`` synthseg, simple x
@@ -28,24 +29,23 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import io
+import json
 import os
 import shutil
 import subprocess
 import sys
-import tarfile
 import tempfile
 
 import numpy as np
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "src"))
+sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
-from drsynth.labels import toy_label_map  # noqa: E402
-from drsynth.nifti import write_nifti  # noqa: E402
-from drsynth.volume import Volume3D  # noqa: E402
+from drsynth.labels import LabelScheme  # noqa: E402
+from drsynth.nifti import read_nifti, write_nifti  # noqa: E402
+from subjects import write_subjects  # noqa: E402
 
-SUBJECTS = {"a": (48, 40, 36), "b": (32, 32, 32)}
+GRIDS = [[[48, 40, 36], [1.0, 1.0, 1.0]], [[32, 32, 32], [1.0, 1.0, 1.0]]]
 CONFIG_TEXT = (
     "import sys; from drsynth.config import config_text; "
     "from drsynth.generator import GenerationConfig; "
@@ -53,51 +53,28 @@ CONFIG_TEXT = (
 )
 
 
-def write_subject(in_dir: str, sid: str, dims, seed: int):
-    """The toy phantom, tissue contrast plus noise, a non-brain shell, zero outside.
-
-    Returns the image path, the labels path and the label map.
-    """
-    labels = toy_label_map(dims)
-    rng = np.random.default_rng(seed)
-    noise = rng.random(dims, dtype=np.float32)
-    intensity = labels.data.astype(np.float32) * 11.0 + noise
-    # Chebyshev radius as toy_label_map measures it: anatomy fills r <= 0.9
-    center = [(d - 1) / 2.0 for d in dims]
-    grids = np.meshgrid(*(np.arange(d, dtype=np.float64) for d in dims), indexing="ij")
-    r = np.max(np.stack([np.abs(g - c) / max(c, 1.0) for g, c in zip(grids, center)]), axis=0)
-    shell = (labels.data == 0) & (r <= 0.97)
-    intensity[shell] = 60.0 + 5.0 * noise[shell]
-    intensity[r > 0.97] = 0.0
-    image_path = os.path.join(in_dir, f"{sid}_image.nii.gz")
-    labels_path = os.path.join(in_dir, f"{sid}_labels.nii.gz")
-    write_nifti(Volume3D(intensity, labels.spacing, labels.affine), image_path)
-    write_nifti(labels, labels_path)
-    return image_path, labels_path, labels
-
-
 def write_inputs(work: str) -> dict:
+    """The benchmark's seeded subjects on ``GRIDS``, plus rolled label maps to evaluate."""
     in_dir = os.path.join(work, "in")
     eval_dir = os.path.join(work, "eval")
-    os.makedirs(in_dir)
     os.makedirs(eval_dir)
-    paths, rows = {}, []
-    for seed, (sid, dims) in enumerate(SUBJECTS.items()):
-        image, labels, label_map = write_subject(in_dir, sid, dims, seed)
-        paths[sid] = (image, labels)
-        pred = os.path.join(eval_dir, f"{sid}_pred.nii.gz")
-        write_nifti(label_map.with_data(np.roll(label_map.data, 1 + seed, axis=seed)), pred)
-        rows.append(f"{sid}\t{pred}\t{labels}\n")
+    subjects = write_subjects(in_dir, 3, GRIDS)
+    rows = []
+    for i, subject in enumerate(subjects):
+        label_map = read_nifti(subject.labels_path, LabelScheme.FETA7)
+        pred = os.path.join(eval_dir, f"{subject.sid}_pred.nii.gz")
+        write_nifti(label_map.with_data(np.roll(label_map.data, 1 + i, axis=i)), pred)
+        rows.append(f"{subject.sid}\t{pred}\t{subject.labels_path}\n")
     manifest = os.path.join(eval_dir, "manifest.tsv")
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.writelines(rows)
-    return {"in": in_dir, "subjects": paths, "manifest": manifest}
+    return {"in": in_dir, "subjects": subjects, "manifest": manifest}
 
 
 def commands(inputs: dict, out: str):
     """(output directory, CLI argv) pairs; None as argv means config_text."""
     in_dir = inputs["in"]
-    (a_image, a_labels), (_, b_labels) = inputs["subjects"]["a"], inputs["subjects"]["b"]
+    a, b = inputs["subjects"]
     for mode in ("fetalsynthseg", "synthseg", "randfabian"):
         for profile in ("synthseg", "simple"):
             for workers in ("1", "2"):
@@ -106,10 +83,10 @@ def commands(inputs: dict, out: str):
                           "--mode", mode, "--profile", profile, "--workers", workers]
     for mode in ("fetalsynthseg", "synthseg"):
         d = os.path.join(out, f"cluster-inspect-{mode}")
-        yield d, ["cluster-inspect", "--image", a_image, "--labels", a_labels, "--mode", mode,
-                  "--out-prefix", os.path.join(d, "a")]
+        yield d, ["cluster-inspect", "--image", a.image_path, "--labels", a.labels_path, "--mode", mode,
+                  "--out-prefix", os.path.join(d, a.sid)]
     d = os.path.join(out, "epg")
-    yield d, ["epg", "--labels", b_labels, "--out", os.path.join(d, "b_epg.nii.gz")]
+    yield d, ["epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
     d = os.path.join(out, "evaluate")
     yield d, ["evaluate", "--manifest", inputs["manifest"], "--out", os.path.join(d, "report.tsv")]
     yield os.path.join(out, "config"), None
@@ -146,7 +123,6 @@ def digests(root: str) -> dict[str, str]:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare this checkout against")
-    ap.add_argument("--keep", action="store_true", help="keep the temporary directory and print its path")
     args = ap.parse_args()
 
     work = tempfile.mkdtemp(prefix="compare_trees-")
@@ -156,8 +132,8 @@ def main() -> int:
             print(f"git archive {args.base}: {archive.stderr.decode().strip()}")
             return 1
         base = os.path.join(work, "base")
-        with tarfile.open(fileobj=io.BytesIO(archive.stdout)) as tar:
-            tar.extractall(base, filter="data")
+        os.makedirs(base)
+        subprocess.run(["tar", "-x", "-C", base], input=archive.stdout, check=True)
         inputs = write_inputs(work)
         ok = run_tree(os.path.join(base, "src"), inputs, os.path.join(work, "out-base"), work)
         ok &= run_tree(os.path.join(ROOT, "src"), inputs, os.path.join(work, "out-tree"), work)
@@ -174,10 +150,7 @@ def main() -> int:
         print(f"{len(old.keys() | new.keys())} files compared against {args.base}: {bad} differ")
         return 0 if ok and bad == 0 else 1
     finally:
-        if args.keep:
-            print(f"kept {work}")
-        else:
-            shutil.rmtree(work, ignore_errors=True)
+        shutil.rmtree(work, ignore_errors=True)
 
 
 if __name__ == "__main__":

@@ -109,7 +109,7 @@ def _enum(kind):
 def _interval(text: str, ctx: str) -> ReferenceInterval:
     """T1 and T2 intervals need lo > 0, the pd interval lo >= 0."""
     toks = _tokens(text)
-    if len(toks) != 3 or any(tok.count(":") != 1 for tok in toks):
+    if len(toks) != 3 or any(len(tok.split(":")) != 2 or "" in tok.split(":") for tok in toks):
         raise ConfigError(f"{ctx}: expected 't1lo:t1hi t2lo:t2hi pdlo:pdhi', got {text!r}")
     domains = (_POS_PAIR, _POS_PAIR, _NONNEG_PAIR)
     t1, t2, pd = (parse(tok.replace(":", " "), ctx) for parse, tok in zip(domains, toks))

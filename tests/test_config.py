@@ -151,7 +151,8 @@ DOMAINS = [
     ("epg", "t1_ms", ["0, 100"], ["1, 100"]),
     ("epg", "t2_ms", ["-5, -1", "0, 10"], ["1, 10"]),
     ("epg", "pd", ["-0.1, 1"], ["0, 0"]),
-    ("epg", "reference_1", ["0:10 5:6 1:1", "1:10 0:6 1:1", "1:10 5:6 -1:1", "10:1 5:6 1:1"],
+    ("epg", "reference_1", ["0:10 5:6 1:1", "1:10 0:6 1:1", "1:10 5:6 -1:1", "10:1 5:6 1:1",
+                             "1: 5:6 0:1", ":1 5:6 0:1"],
      ["1:10 5:6 0:0"]),
 ]
 
@@ -166,6 +167,14 @@ def test_every_range_key_checks_its_domain(tmp_path, section, key, bad, edge):
     for value in edge:
         p.write_text(f"[{section}]\n{key} = {value}\n")
         load_config(p)
+
+
+def test_reference_interval_with_a_missing_side_names_its_syntax(tmp_path):
+    p = tmp_path / "reference.ini"
+    for value in ("1: 5:6 0:1", "1:10 5:6 :1"):
+        p.write_text(f"[epg]\nreference_1 = {value}\n")
+        with pytest.raises(ConfigError, match="expected 't1lo:t1hi t2lo:t2hi pdlo:pdhi'"):
+            load_config(p)
 
 
 def test_missing_file_is_config_error(tmp_path):
