@@ -15,8 +15,12 @@ both source trees over one command matrix:
 * ``evaluate`` on shifted copies of both label maps;
 * ``config_text(GenerationConfig())``.
 
-It prints every output file whose SHA-256 differs, or that only one tree
-wrote, and exits 1 if there is any or if a command fails.  Usage:
+It prints every output file whose content differs, or that only one tree
+wrote, and exits 1 if there is any or if a command fails.  A ``.gz`` file's
+content is its decompressed bytes, so a change of compression setting
+alone is no difference; such files are counted on a separate line that
+does not fail the run.  Every other file is compared by its SHA-256.
+Usage:
 
     python3 scripts/compare_trees.py --base HEAD~1
 
@@ -28,6 +32,7 @@ so this is a tool for changes meant to keep every byte, not a test.
 from __future__ import annotations
 
 import argparse
+import gzip
 import hashlib
 import json
 import os
@@ -110,13 +115,16 @@ def run_tree(src: str, inputs: dict, out: str, cwd: str) -> bool:
     return ok
 
 
-def digests(root: str) -> dict[str, str]:
+def digests(root: str) -> dict[str, tuple[str, str]]:
+    """Relative path -> (SHA-256 of the content, SHA-256 of the file's bytes)."""
     out = {}
     for dirpath, _, names in os.walk(root):
         for name in names:
             path = os.path.join(dirpath, name)
             with open(path, "rb") as fh:
-                out[os.path.relpath(path, root)] = hashlib.sha256(fh.read()).hexdigest()
+                blob = fh.read()
+            content = gzip.decompress(blob) if name.endswith(".gz") else blob
+            out[os.path.relpath(path, root)] = (hashlib.sha256(content).hexdigest(), hashlib.sha256(blob).hexdigest())
     return out
 
 
@@ -138,16 +146,18 @@ def main() -> int:
         ok = run_tree(os.path.join(base, "src"), inputs, os.path.join(work, "out-base"), work)
         ok &= run_tree(os.path.join(ROOT, "src"), inputs, os.path.join(work, "out-tree"), work)
         old, new = digests(os.path.join(work, "out-base")), digests(os.path.join(work, "out-tree"))
-        bad = 0
+        bad = container = 0
         for rel in sorted(old.keys() | new.keys()):
             if rel not in new or rel not in old:
                 print(f"only in {'base' if rel in old else 'this tree'}: {rel}")
-            elif old[rel] != new[rel]:
+            elif old[rel][0] != new[rel][0]:
                 print(f"differs: {rel}")
             else:
+                container += old[rel][1] != new[rel][1]
                 continue
             bad += 1
         print(f"{len(old.keys() | new.keys())} files compared against {args.base}: {bad} differ")
+        print(f"{container} .gz files differ only in their gzip container (decompressed bytes equal)")
         return 0 if ok and bad == 0 else 1
     finally:
         shutil.rmtree(work, ignore_errors=True)

@@ -148,7 +148,7 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
             parts.append(struct.pack("<I", len(raw)))
             parts.append(raw)
 
-    atomic_write(path, b"".join(parts))
+    atomic_write(path, parts)
 
 DEFAULT_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 

@@ -25,6 +25,7 @@ import os
 import platform
 import sys
 import time
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
@@ -272,6 +273,7 @@ def _machine_info() -> dict:
         "python": platform.python_version(),
         "numpy": np.__version__,
         "scipy": scipy.__version__,
+        "zlib": zlib.ZLIB_RUNTIME_VERSION,  # sets write_nifti's time and .gz bytes
         "threads": {
             var: os.environ.get(var)
             for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
@@ -310,7 +312,7 @@ def cmd_bench(args) -> int:
     m = report["machine"]
     threads = " ".join(f"{k}={v}" for k, v in m["threads"].items())
     print(f"machine: {m['cpu_count']} CPUs, Python {m['python']}, numpy {m['numpy']}, "
-          f"scipy {m['scipy']}, {threads}")
+          f"scipy {m['scipy']}, zlib {m['zlib']}, {threads}")
     for pipeline in ("gmm", "epg"):
         block = report[pipeline]
         print(f"{pipeline}: median {block['wall_median_s']:.3f} s/volume "

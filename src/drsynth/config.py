@@ -11,10 +11,11 @@ pdlo:pdhi``.
 Loading starts from the package defaults and overrides whatever keys are
 present.  Unknown sections or keys, and values outside their key's
 domain (numbers are finite and every pair has lo <= hi; e.g. subclass
-ranges need lo >= 1, probabilities lie in [0, 1], T1/T2 > 0), raise
-ConfigError.  ``config_sections`` emits every effective value, defaults
-included, which generation writes into provenance sidecars.  Both
-directions are driven by one field table, ``_FIELDS``.
+ranges need lo >= 1, probabilities lie in [0, 1], T1/T2 > 0, and
+``te_eff_ms`` lies within [esp_ms, etl * esp_ms]), raise ConfigError.
+``config_sections`` emits every effective value, defaults included,
+which generation writes into provenance sidecars.  Both directions are
+driven by one field table, ``_FIELDS``.
 """
 
 from __future__ import annotations
@@ -136,8 +137,9 @@ def _fmt_interval(iv: ReferenceInterval) -> str:
 # parse(text, ctx), format(value)).  Row order is the order keys are
 # written and applied.  A key ending in "_" is a per-class family over a
 # dict attribute: "reference_3" holds entry 3.  Each parse checks its
-# key's domain; a bound that spans keys (TE_eff within [esp, etl * esp])
-# is left to EpgSequenceParams when a sample draws it.
+# key's domain; the one bound that spans keys (TE_eff within
+# [esp, etl * esp]) is checked by apply_sections once every key is applied,
+# because a file may set those keys in any order.
 _FIELDS = (
     ("synthgen", "mode", "mode", _enum(GeneratorMode), lambda v: v.value),
     ("synthgen", "profile", "profile", _enum(AugmentProfile), lambda v: v.value),
@@ -244,6 +246,12 @@ def apply_sections(cfg: GenerationConfig, sections: dict[str, dict[str, str]]) -
                 cfg = _with(cfg, path, {**_get(cfg, path), **members})
         elif key in kv:
             cfg = _with(cfg, path, parse(kv[key], f"{section}.{key}"))
+    seq = cfg.sequence
+    if not seq.esp_ms <= seq.te_eff_range_ms[0] <= seq.te_eff_range_ms[1] <= seq.etl * seq.esp_ms:
+        raise ConfigError(
+            f"epg.te_eff_ms: must lie within [epg.esp_ms, epg.etl * epg.esp_ms] = "
+            f"[{seq.esp_ms!r}, {seq.etl * seq.esp_ms!r}] ms, got {_fmt_pair(seq.te_eff_range_ms)}"
+        )
     return cfg
 
 

@@ -8,19 +8,23 @@ import os
 from .errors import IoError
 
 
-def atomic_write(path, data: bytes | str) -> None:
+def atomic_write(path, data: bytes | str | list) -> None:
     """Write ``data`` to a temporary sibling, then rename it onto ``path``.
 
-    Readers never see a partial file.  Text is encoded as UTF-8.  On
-    failure the temporary file is removed and IoError is raised.
+    ``data`` is text (encoded as UTF-8), bytes, or a list of bytes-like
+    chunks written in order, so a caller need not join them first.
+    Readers never see a partial file.  On failure the temporary file is
+    removed and IoError is raised.
     """
     path = str(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    if isinstance(data, bytes):
+        data = [data]
     tmp = f"{path}.tmp.{os.getpid()}"
     try:
         with open(tmp, "wb") as fh:
-            fh.write(data)
+            fh.writelines(data)
         os.replace(tmp, path)
     except OSError as exc:
         with contextlib.suppress(OSError):

@@ -12,18 +12,39 @@ does it (default ``SvfConfig``), so the displacements, and with them the
 gather pattern, are those of a real sample.  The EPG render uses the
 sequence and relaxometry ``drsynth epg`` draws for the toy map at seed 0,
 voxelwise, as the physics modes render; EM fits one class of about 300k
-voxels with k=5, the size of a meta-class at 128^3.
+voxels with k=5, the size of a meta-class at 128^3.  The resampling and
+writing kernels run on the tests' toy subject at 128^3: the warp samples
+it through a drawn affine and SVF, the resolution simulation blurs and
+resamples its intensity to a drawn target spacing, and ``write_nifti``
+gzips the normalized image and FeTA label map of one rendered sample.
 """
 
 import numpy as np
 import pytest
 
-from drsynth.augment import SvfConfig, draw_svf_control, integrate_velocity, upsample_control_grid
+from conftest import make_subject
+from drsynth.augment import AffineRanges, ResolutionSim, SvfConfig, draw_affine, draw_resolution
+from drsynth.augment import draw_svf_control, integrate_velocity, simulate_resolution, svf_from_control
+from drsynth.augment import transform_coordinates, upsample_control_grid
 from drsynth.epg import RelaxometryMode, RelaxometryRanges, SequenceRanges, draw_sequence
 from drsynth.epg import render_epg_volume, sample_relaxometry
+from drsynth.generator import GenerationConfig, generate_sample
 from drsynth.labels import em_cluster, toy_label_map
+from drsynth.nifti import write_nifti
 from drsynth.rng import make_stream
-from drsynth.volume import Volume3D
+from drsynth.volume import Volume3D, sample_at_voxels
+
+GRID = (128, 128, 128)
+
+
+@pytest.fixture(scope="module")
+def subject_128():
+    return make_subject(GRID)
+
+
+@pytest.fixture(scope="module")
+def sample_128(subject_128):
+    return generate_sample(*subject_128, GenerationConfig(), 0, subject_id="toy")
 
 
 @pytest.mark.parametrize("n", [64, 128])
@@ -57,3 +78,35 @@ def test_em_cluster_one_class(benchmark):
     mask = np.ones(intensity.dims, dtype=bool)
     fit = benchmark.pedantic(em_cluster, args=(intensity, mask, 5), rounds=7, warmup_rounds=1)
     assert fit.k == 5 and fit.assignments.size == mask.size
+
+
+@pytest.fixture(scope="module")
+def warp_coords_128():
+    cfg = SvfConfig()
+    ctrl = draw_svf_control(cfg, make_stream(0, 0, "spatial_svf"))
+    svf = svf_from_control(ctrl, GRID, (1.0, 1.0, 1.0), cfg.integration_steps)
+    affine = draw_affine(AffineRanges(), make_stream(0, 0, "spatial_affine"))
+    return transform_coordinates(GRID, (1.0, 1.0, 1.0), affine, svf)
+
+
+@pytest.mark.parametrize("kind", ["labels", "intensity"])
+def test_sample_at_voxels_warp(benchmark, subject_128, warp_coords_128, kind):
+    labels, intensity = subject_128
+    data = labels.data if kind == "labels" else intensity.data
+    out = benchmark.pedantic(sample_at_voxels, args=(data, warp_coords_128), rounds=7, warmup_rounds=1)
+    assert out.shape == GRID and out.dtype == data.dtype
+
+
+def test_simulate_resolution(benchmark, subject_128):
+    intensity = subject_128[1]
+    target, _ = draw_resolution(ResolutionSim(), intensity.spacing, make_stream(0, 0, "resolution"))
+    out = benchmark.pedantic(simulate_resolution, args=(intensity, target), rounds=7, warmup_rounds=1)
+    assert out.dims == GRID and np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("kind", ["image", "labels"])
+def test_write_nifti_gz(benchmark, sample_128, tmp_path, kind):
+    vol = getattr(sample_128, kind)
+    path = tmp_path / f"{kind}.nii.gz"
+    benchmark.pedantic(write_nifti, args=(vol, path), rounds=7, warmup_rounds=1)
+    assert path.stat().st_size > 0

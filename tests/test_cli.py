@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import zlib
 
 import numpy as np
 import pytest
@@ -303,7 +304,7 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
     [
         "subclasses = 0, 3", "subclasses = 3, 1", "svf_control_points = 0", "svf_steps = -1",
         "sigma = -5, -1", "op_probability = 7", "noise_sigma = -0.5, -0.4", "mu = 5, 1",
-        "t2_ms = -5, -1", "master_seed = -2", "mu = 0, inf",
+        "t2_ms = -5, -1", "master_seed = -2", "mu = 0, inf", "te_eff_ms = 1, 2",
     ],
 )
 def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
@@ -312,7 +313,7 @@ def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
     write_subject(in_dir, "toy", dims=(12, 12, 12))
     key = line.split(" = ")[0]
     augment = ("svf_control_points", "svf_steps", "op_probability", "noise_sigma")
-    section = "augment" if key in augment else "epg" if key == "t2_ms" else "synthgen"
+    section = "augment" if key in augment else "epg" if key in ("t2_ms", "te_eff_ms") else "synthgen"
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{line}\n")
     out_dir = tmp_path / "out"
@@ -586,6 +587,8 @@ def test_bench_reports_both_pipelines(tmp_path, capsys):
     assert machine["cpu_count"] == os.cpu_count()
     assert machine["numpy"] == np.__version__ and machine["python"].count(".") == 2
     assert machine["scipy"]
+    assert machine["zlib"] == zlib.ZLIB_RUNTIME_VERSION
+    assert f"zlib {zlib.ZLIB_RUNTIME_VERSION}," in stdout.splitlines()[0]
     assert machine["threads"] == {
         var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     }

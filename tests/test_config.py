@@ -147,7 +147,7 @@ DOMAINS = [
     ("epg", "esp_ms", ["0"], ["0.1"]),
     ("epg", "etl", ["0"], ["1"]),
     ("epg", "refocus_deg", ["-1, 180"], ["0, 180"]),
-    ("epg", "te_eff_ms", ["0, 300"], ["1, 2"]),
+    ("epg", "te_eff_ms", ["0, 300"], ["6.12, 918"]),
     ("epg", "t1_ms", ["0, 100"], ["1, 100"]),
     ("epg", "t2_ms", ["-5, -1", "0, 10"], ["1, 10"]),
     ("epg", "pd", ["-0.1, 1"], ["0, 0"]),
@@ -155,6 +155,10 @@ DOMAINS = [
                              "1: 5:6 0:1", ":1 5:6 0:1"],
      ["1:10 5:6 0:0"]),
 ]
+
+
+# An edge of esp_ms or etl loads only with a TE_eff range inside [esp, etl * esp].
+EDGE_COMPANION = {"esp_ms": "te_eff_ms = 0.1, 15", "etl": "te_eff_ms = 6.12, 6.12"}
 
 
 @pytest.mark.parametrize("section, key, bad, edge", DOMAINS, ids=[row[1] for row in DOMAINS])
@@ -165,7 +169,23 @@ def test_every_range_key_checks_its_domain(tmp_path, section, key, bad, edge):
         with pytest.raises(ConfigError, match=f"{section}.{key}: "):
             load_config(p)
     for value in edge:
-        p.write_text(f"[{section}]\n{key} = {value}\n")
+        p.write_text(f"[{section}]\n{key} = {value}\n{EDGE_COMPANION.get(key, '')}\n")
+        load_config(p)
+
+
+@pytest.mark.parametrize("lines", [["etl = 10", "te_eff_ms = 20, 50"], ["te_eff_ms = 20, 50", "etl = 10"]])
+def test_te_eff_bound_holds_whatever_the_key_order(tmp_path, lines):
+    p = tmp_path / "epg.ini"
+    p.write_text("[epg]\n" + "\n".join(lines) + "\n")
+    cfg = load_config(p)
+    assert cfg.sequence.etl == 10 and cfg.sequence.te_eff_range_ms == (20.0, 50.0)
+
+
+@pytest.mark.parametrize("lines", [["te_eff_ms = 1, 2"], ["etl = 10"], ["esp_ms = 10", "te_eff_ms = 5, 50"]])
+def test_te_eff_outside_the_echo_train_fails_at_load(tmp_path, lines):
+    p = tmp_path / "epg.ini"
+    p.write_text("[epg]\n" + "\n".join(lines) + "\n")
+    with pytest.raises(ConfigError, match=r"epg\.te_eff_ms: must lie within \[epg\.esp_ms, epg\.etl \* epg\.esp_ms\]"):
         load_config(p)
 
 

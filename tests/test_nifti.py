@@ -13,7 +13,8 @@ from drsynth.errors import (
     UnsupportedDatatype,
     UnsupportedShape,
 )
-from conftest import random_label_volume
+from conftest import make_subject, random_label_volume
+from drsynth.generator import GenerationConfig, generate_sample
 from drsynth.nifti import _STRUCT, HEADER_SIZE, read_nifti, write_nifti
 from drsynth.volume import LabelMap, LabelScheme, Volume3D
 
@@ -62,6 +63,27 @@ def test_gzip_round_trip_and_determinism(tmp_path):
     write_nifti(vol, p2)
     assert p1.read_bytes() == p2.read_bytes()
     assert read_nifti(p1).data.tobytes() == vol.data.tobytes()
+
+
+@pytest.mark.parametrize("dims, bound", [((24,) * 3, 0.05), ((96,) * 3, 0.02)])
+def test_sample_gzip_is_exact_deterministic_and_near_level_9(tmp_path, dims, bound):
+    # Run-length deflate cannot use the 3-byte matches that smooth float
+    # content offers LZ77, so a tiny grid pays up to about 4% over level 9;
+    # from 96^3, the smallest grid the benchmark renders, it pays under 2%.
+    labels, intensity = make_subject(dims)
+    pair = generate_sample(labels, intensity, GenerationConfig(), 0, subject_id="toy")
+    size = level_9 = 0
+    for kind, vol in (("image", pair.image), ("labels", pair.labels)):
+        plain, packed = tmp_path / f"{kind}.nii", tmp_path / f"{kind}.nii.gz"
+        write_nifti(vol, plain)
+        write_nifti(vol, packed)
+        raw, first = plain.read_bytes(), packed.read_bytes()
+        assert gzip.decompress(first) == raw
+        write_nifti(vol, packed)
+        assert packed.read_bytes() == first
+        size += len(first)
+        level_9 += len(gzip.compress(raw, 9))
+    assert size <= (1 + bound) * level_9
 
 
 @given(
