@@ -13,7 +13,10 @@ both source trees over one command matrix:
 * ``cluster-inspect`` in the fetalsynthseg and synthseg modes;
 * ``epg`` on the 32^3 subject's labels;
 * ``evaluate`` on shifted copies of both label maps;
-* ``config_text(GenerationConfig())``.
+* ``generate --config scripts/nondefault.ini --profile synthseg``
+  (every key of that file differs from its default);
+* ``config_text(GenerationConfig())`` and
+  ``config_text(load_config("scripts/nondefault.ini"))``.
 
 It prints every output file whose content differs, or that only one tree
 wrote, and exits 1 if there is any or if a command fails.  A ``.gz`` file's
@@ -51,10 +54,12 @@ from drsynth.nifti import read_nifti, write_nifti  # noqa: E402
 from subjects import write_subjects  # noqa: E402
 
 GRIDS = [[[48, 40, 36], [1.0, 1.0, 1.0]], [[32, 32, 32], [1.0, 1.0, 1.0]]]
+NONDEFAULT_INI = os.path.join(ROOT, "scripts", "nondefault.ini")
+# config_text of the INI file named by the first argument, or of the defaults
 CONFIG_TEXT = (
-    "import sys; from drsynth.config import config_text; "
+    "import sys; from drsynth.config import config_text, load_config; "
     "from drsynth.generator import GenerationConfig; "
-    "sys.stdout.write(config_text(GenerationConfig()))"
+    "sys.stdout.write(config_text(load_config(sys.argv[1]) if sys.argv[1:] else GenerationConfig()))"
 )
 
 
@@ -77,24 +82,29 @@ def write_inputs(work: str) -> dict:
 
 
 def commands(inputs: dict, out: str):
-    """(output directory, CLI argv) pairs; None as argv means config_text."""
+    """(output directory, interpreter arguments) pairs; a ``-c`` entry's stdout is its output."""
     in_dir = inputs["in"]
     a, b = inputs["subjects"]
+    cli = ["-m", "drsynth.cli"]
     for mode in ("fetalsynthseg", "synthseg", "randfabian"):
         for profile in ("synthseg", "simple"):
             for workers in ("1", "2"):
                 d = os.path.join(out, f"generate-{mode}-{profile}-w{workers}")
-                yield d, ["generate", "--in", in_dir, "--out", d, "--count", "4", "--seed", "3",
+                yield d, [*cli, "generate", "--in", in_dir, "--out", d, "--count", "4", "--seed", "3",
                           "--mode", mode, "--profile", profile, "--workers", workers]
+    d = os.path.join(out, "generate-nondefault")
+    yield d, [*cli, "generate", "--config", NONDEFAULT_INI, "--profile", "synthseg", "--in", in_dir,
+              "--out", d, "--count", "4"]
     for mode in ("fetalsynthseg", "synthseg"):
         d = os.path.join(out, f"cluster-inspect-{mode}")
-        yield d, ["cluster-inspect", "--image", a.image_path, "--labels", a.labels_path, "--mode", mode,
+        yield d, [*cli, "cluster-inspect", "--image", a.image_path, "--labels", a.labels_path, "--mode", mode,
                   "--out-prefix", os.path.join(d, a.sid)]
     d = os.path.join(out, "epg")
-    yield d, ["epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
+    yield d, [*cli, "epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
     d = os.path.join(out, "evaluate")
-    yield d, ["evaluate", "--manifest", inputs["manifest"], "--out", os.path.join(d, "report.tsv")]
-    yield os.path.join(out, "config"), None
+    yield d, [*cli, "evaluate", "--manifest", inputs["manifest"], "--out", os.path.join(d, "report.tsv")]
+    yield os.path.join(out, "config-default"), ["-c", CONFIG_TEXT]
+    yield os.path.join(out, "config-nondefault"), ["-c", CONFIG_TEXT, NONDEFAULT_INI]
 
 
 def run_tree(src: str, inputs: dict, out: str, cwd: str) -> bool:
@@ -102,15 +112,15 @@ def run_tree(src: str, inputs: dict, out: str, cwd: str) -> bool:
     env = dict(os.environ, PYTHONPATH=src)
     env.update({var: "1" for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")})
     ok = True
-    for out_dir, argv in commands(inputs, out):
+    for out_dir, args in commands(inputs, out):
         os.makedirs(out_dir, exist_ok=True)
-        cmd = [sys.executable, "-c", CONFIG_TEXT] if argv is None else [sys.executable, "-m", "drsynth.cli", *argv]
-        proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True)
+        proc = subprocess.run([sys.executable, *args], cwd=cwd, env=env, capture_output=True, text=True)
         if proc.returncode != 0:
-            print(f"{src}: {' '.join(argv or ['config_text'])} exited {proc.returncode}: {proc.stderr.strip()}")
+            shown = args[2:] if args[0] == "-m" else ["config_text", *args[2:]]
+            print(f"{src}: {' '.join(shown)} exited {proc.returncode}: {proc.stderr.strip()}")
             ok = False
-        elif argv is None:
-            with open(os.path.join(out_dir, "default.ini"), "w", encoding="utf-8") as fh:
+        elif args[0] == "-c":
+            with open(os.path.join(out_dir, "config.ini"), "w", encoding="utf-8") as fh:
                 fh.write(proc.stdout)
     return ok
 

@@ -153,6 +153,14 @@ def write_checkpoint(ckpt: Checkpoint, path) -> None:
 DEFAULT_SWEEP = (0.0, 0.2, 0.5, 0.8, 1.0)
 
 
+def check_alpha(alpha: float) -> float:
+    """``alpha`` as a float, or InvalidAlpha unless it lies in [0, 1]."""
+    alpha = float(alpha)
+    if not 0.0 <= alpha <= 1.0:
+        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
+    return alpha
+
+
 def interpolate(a: Checkpoint, b: Checkpoint, alpha: float) -> Checkpoint:
     """Elementwise blend (1 - alpha) * a + alpha * b over every tensor.
 
@@ -160,9 +168,7 @@ def interpolate(a: Checkpoint, b: Checkpoint, alpha: float) -> Checkpoint:
     of the corresponding input's tensors.  Checkpoints must agree on
     tensor names, order, and shapes.
     """
-    alpha = float(alpha)
-    if not 0.0 <= alpha <= 1.0 or alpha != alpha:
-        raise InvalidAlpha(f"alpha must be in [0, 1], got {alpha}")
+    alpha = check_alpha(alpha)
     if not a.same_layout(b):
         raise IncompatibleCheckpoints("checkpoints differ in tensor names, order, or shapes")
 

@@ -33,7 +33,7 @@ import numpy as np
 import scipy
 
 from .augment import AugmentProfile
-from .checkpoints import DEFAULT_SWEEP, interpolate, read_checkpoint, write_checkpoint
+from .checkpoints import DEFAULT_SWEEP, check_alpha, interpolate, read_checkpoint, write_checkpoint
 from .config import apply_sections, config_sections, load_config
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
@@ -76,8 +76,6 @@ def _require_positive(**counts) -> None:
 def _load_generation_config(args) -> GenerationConfig:
     cfg = load_config(args.config) if args.config else GenerationConfig()
     if getattr(args, "seed", None) is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "mode", None):
         cfg = replace(cfg, mode=GeneratorMode(args.mode))
@@ -190,7 +188,8 @@ def render_from_sidecar(sidecar_path: str):
     Reads the recorded config and inputs, replays generation at the
     recorded (seed, sample index), and returns the SamplePair.  Output
     volumes are bit-identical to the originally written files.  An input
-    whose SHA-256 differs from the recorded one raises InputChanged.
+    whose SHA-256 differs from the recorded one raises InputChanged before
+    any input is parsed.
     """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
         sidecar = json.load(fh)
@@ -198,11 +197,11 @@ def render_from_sidecar(sidecar_path: str):
         raise ConfigError(f"{sidecar_path}: not a {SIDECAR_FORMAT} sidecar")
     cfg = apply_sections(GenerationConfig(), sidecar["config"])
     inputs = sidecar["inputs"]
-    labels = read_nifti(inputs["labels"], scheme=LabelScheme.FETA7)
-    intensity = read_nifti(inputs["image"])
     for kind in ("labels", "image"):
         if _file_sha(inputs[kind]) != inputs[f"{kind}_sha256"]:
             raise InputChanged(f"{inputs[kind]}: SHA-256 differs from the one recorded in {sidecar_path}")
+    labels = read_nifti(inputs["labels"], scheme=LabelScheme.FETA7)
+    intensity = read_nifti(inputs["image"])
     return generate_sample(
         labels, intensity, cfg, sidecar["sample_index"], subject_id=sidecar["subject"]
     )
@@ -331,25 +330,27 @@ def cmd_bench(args) -> int:
 
 
 def _parse_alphas(args) -> list[float]:
+    """The blend coefficients, every one checked before anything is read or written."""
     if args.alpha is not None and args.alphas is not None:
         raise ConfigError("pass either --alpha or --alphas, not both")
     if args.alpha is not None:
-        return [float(args.alpha)]
-    if args.alphas is None:
-        return list(DEFAULT_SWEEP)
-    try:
-        alphas = [float(t) for t in args.alphas.replace(",", " ").split()]
-    except ValueError:
-        raise ConfigError(f"--alphas: expected numbers, got {args.alphas!r}") from None
-    if not alphas:
-        raise ConfigError(f"--alphas: no values in {args.alphas!r}")
-    return alphas
+        alphas = [args.alpha]
+    elif args.alphas is None:
+        alphas = list(DEFAULT_SWEEP)
+    else:
+        try:
+            alphas = [float(t) for t in args.alphas.replace(",", " ").split()]
+        except ValueError:
+            raise ConfigError(f"--alphas: expected numbers, got {args.alphas!r}") from None
+        if not alphas:
+            raise ConfigError(f"--alphas: no values in {args.alphas!r}")
+    return [check_alpha(alpha) for alpha in alphas]
 
 
 def cmd_interpolate(args) -> int:
+    alphas = _parse_alphas(args)
     a = read_checkpoint(args.a)
     b = read_checkpoint(args.b)
-    alphas = _parse_alphas(args)
     if len(alphas) == 1 and not os.path.isdir(args.out) and args.out.endswith(".ckpt"):
         write_checkpoint(interpolate(a, b, alphas[0]), args.out)
         print(f"wrote {args.out} (alpha {alphas[0]:g})")

@@ -17,26 +17,18 @@ order cannot change it.
 
 from __future__ import annotations
 
-import enum
 import hashlib
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import augment
-from .augment import (
-    AffineRanges,
-    AugmentProfile,
-    CorruptionConfig,
-    ResolutionSim,
-    SvfConfig,
-    draw_simple_plan,
-)
+from .augment import AugmentProfile, draw_simple_plan
+from .config import GenerationConfig, GeneratorMode
 from .epg import (
     RelaxometryMode,
     RelaxometryRanges,
-    SequenceRanges,
     draw_sequence,
     render_epg_volume,
     sample_relaxometry,
@@ -45,21 +37,6 @@ from .errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
 from .labels import NONBRAIN_META, SubclassPartition, build_meta_classes, split_meta_classes
 from .rng import make_stream
 from .volume import LabelMap, LabelScheme, Volume3D, require_same_grid
-
-
-class GeneratorMode(enum.Enum):
-    """Contrast and partition strategy.
-
-    SYNTHSEG       cluster within the original tissue labels, Gaussian draws
-    FETALSYNTHSEG  cluster within meta-classes (+ non-brain), Gaussian draws
-    FABIAN         meta-classes + spin-echo physics, reference relaxometry
-    RANDFABIAN     meta-classes + spin-echo physics, randomized relaxometry
-    """
-
-    SYNTHSEG = "synthseg"
-    FETALSYNTHSEG = "fetalsynthseg"
-    FABIAN = "fabian"
-    RANDFABIAN = "randfabian"
 
 
 PHYSICS_MODES = (GeneratorMode.FABIAN, GeneratorMode.RANDFABIAN)
@@ -73,33 +50,6 @@ class GmmParams:
 
     def ids(self) -> list[int]:
         return sorted(self.by_id)
-
-
-@dataclass(frozen=True)
-class GenerationConfig:
-    """Everything one needs to re-render a sample, besides the inputs.
-
-    Intensity bounds (``mu_range``, ``sigma_range``) and subclass-count
-    bounds are plain configuration: tests pin their own values rather than
-    relying on the defaults here.  ``nonbrain_k_range`` overrides the
-    subclass count range for the image-derived non-brain class (None means
-    use ``k_range``).
-    """
-
-    mode: GeneratorMode = GeneratorMode.FETALSYNTHSEG
-    profile: AugmentProfile = AugmentProfile.SYNTHSEG_FULL
-    mu_range: tuple[float, float] = (0.0, 255.0)
-    sigma_range: tuple[float, float] = (0.0, 35.0)
-    k_range: tuple[int, int] = (1, 9)
-    nonbrain_k_range: tuple[int, int] | None = None
-    master_seed: int = 0
-    affine: AffineRanges = field(default_factory=AffineRanges)
-    svf: SvfConfig = field(default_factory=SvfConfig)
-    corruption: CorruptionConfig = field(default_factory=CorruptionConfig)
-    resolution: ResolutionSim = field(default_factory=ResolutionSim)
-    sequence: SequenceRanges = field(default_factory=SequenceRanges)
-    relaxometry: RelaxometryRanges = field(default_factory=RelaxometryRanges)
-    epg_voxelwise: bool = True
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,7 @@ from itertools import combinations
 import numpy as np
 from scipy.ndimage import binary_erosion, generate_binary_structure
 
-from .errors import EmptySample
+from .errors import DrsynthError, EmptySample
 from .volume import LabelMap, require_same_grid
 
 FETA_LABELS = tuple(range(1, 8))
@@ -153,8 +153,17 @@ def _mean_std(values: list[float]) -> tuple[float | None, float | None]:
 
 
 def batch_evaluate(pairs) -> BatchReport:
-    """Evaluate (subject_id, pred, gt) triples; aggregates skip Undefined."""
-    reports = [evaluate(pred, gt, subject=sid) for sid, pred, gt in pairs]
+    """Evaluate (subject_id, pred, gt) triples; aggregates skip Undefined.
+
+    A package error is re-raised as the same type with the subject id
+    prefixed to its message.
+    """
+    reports = []
+    for sid, pred, gt in pairs:
+        try:
+            reports.append(evaluate(pred, gt, subject=sid))
+        except DrsynthError as exc:
+            raise type(exc)(f"subject '{sid}': {exc}") from exc
     dice_mean, dice_std = _mean_std([r.mean_dice for r in reports if r.mean_dice is not None])
     hd_mean, hd_std = _mean_std([r.mean_hd95 for r in reports if r.mean_hd95 is not None])
     return BatchReport(reports, dice_mean, dice_std, hd_mean, hd_std)

@@ -18,7 +18,7 @@ from drsynth.cli import (
     read_manifest,
     render_from_sidecar,
 )
-from drsynth.errors import InputChanged, IoError
+from drsynth.errors import ConfigError, InputChanged, IoError
 from drsynth.nifti import read_nifti, write_nifti
 from drsynth.volume import LabelMap, LabelScheme
 
@@ -389,6 +389,45 @@ def test_replay_rejects_changed_inputs(tmp_path, capsys):
         assert render_from_sidecar(sidecar).image.data.tobytes() == written
 
 
+def generate_one(tmp_path, capsys):
+    """Generate one 12^3 sample with small_ini; returns (image path, sidecar path)."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    img_path, _ = write_subject(in_dir, "toy", dims=(12, 12, 12))
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        "generate", "--config", small_ini(tmp_path), "--in", str(in_dir),
+        "--out", str(out_dir), "--count", "1",
+    )
+    assert code == 0, err
+    return img_path, str(out_dir / "toy_s00000_seed7.json")
+
+
+def test_replay_compares_hashes_before_parsing_inputs(tmp_path, capsys):
+    img_path, sidecar = generate_one(tmp_path, capsys)
+    with open(img_path, "wb") as fh:
+        fh.write(b"not a NIfTI file")
+    with pytest.raises(InputChanged, match=re.escape(img_path)):
+        render_from_sidecar(sidecar)
+
+
+def test_replay_checks_the_recorded_config(tmp_path, capsys):
+    _, sidecar = generate_one(tmp_path, capsys)
+    record = json.loads(open(sidecar).read())
+    record["config"]["synthgen"]["sigma"] = "-5.0, -1.0"
+    with open(sidecar, "w") as fh:
+        json.dump(record, fh)
+    with pytest.raises(ConfigError, match=re.escape("synthgen.sigma: must be >= 0, got -5.0")):
+        render_from_sidecar(sidecar)
+
+
+def test_bad_seed_flag_names_the_config_key(tmp_path, capsys):
+    code, _, err = run(capsys, "epg", "--seed", "-3", "--out", str(tmp_path / "epg.nii.gz"))
+    assert code == 1
+    assert err == "error: ConfigError: synthgen.master_seed: must be >= 0, got -3\n"
+
+
 # ---------------------------------------------------------------------------
 # interpolate
 
@@ -447,6 +486,15 @@ def test_interpolate_flag_conflicts_and_bad_values(tmp_path, capsys):
     assert code == 1 and err.startswith("error: InvalidAlpha:")
 
 
+def test_interpolate_checks_every_alpha_before_writing(tmp_path, capsys):
+    pa, pb = write_pair_of_checkpoints(tmp_path)
+    out = tmp_path / "sweep"
+    code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", "0,0.5,2", "--out", str(out))
+    assert code == 1
+    assert err == "error: InvalidAlpha: alpha must be in [0, 1], got 2.0\n"
+    assert not out.exists() or not os.listdir(out)
+
+
 # ---------------------------------------------------------------------------
 # evaluate
 
@@ -494,6 +542,17 @@ def test_evaluate_end_to_end(tmp_path, capsys):
     code, out, err = run(capsys, "evaluate", "--manifest", str(man))
     assert code == 0, err
     assert out.startswith("subject\tlabel\tdice\thd95")
+
+
+def test_evaluate_names_the_failing_subject(tmp_path, capsys):
+    gt = LabelMap(np.ones((10, 10, 10), np.int32), (1, 1, 1), LabelScheme.FETA7)
+    write_nifti(gt, str(tmp_path / "gt.nii.gz"))
+    write_nifti(LabelMap(np.ones((10, 10, 9), np.int32), (1, 1, 1), LabelScheme.FETA7), str(tmp_path / "small.nii.gz"))
+    man = tmp_path / "pairs.tsv"
+    man.write_text("good\tgt.nii.gz\tgt.nii.gz\ncropped\tsmall.nii.gz\tgt.nii.gz\n")
+    code, out, err = run(capsys, "evaluate", "--manifest", str(man))
+    assert code == 1 and out == ""
+    assert err == "error: GeometryError: subject 'cropped': pred and gt must share dims, spacing, and affine\n"
 
 
 def test_evaluate_missing_manifest(tmp_path, capsys):

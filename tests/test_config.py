@@ -1,16 +1,19 @@
+import re
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
 from drsynth.augment import AugmentProfile
 from drsynth.config import (
+    _FIELDS,
     apply_sections,
     config_sections,
     config_text,
     load_config,
     write_config,
 )
-from drsynth.epg import ReferenceInterval, RelaxometryRanges
+from drsynth.epg import ReferenceInterval, RelaxometryRanges, SequenceRanges
 from drsynth.errors import ConfigError
 from drsynth.generator import GenerationConfig, GeneratorMode
 
@@ -129,12 +132,17 @@ def test_value_parse_errors(tmp_path):
 DOMAINS = [
     ("synthgen", "mu", ["5, 1", "nan, 1"], ["-5, -1", "3, 3"]),
     ("synthgen", "sigma", ["-5, -1", "-1, 2", "nan, 1"], ["0, 0", "0, 2"]),
+    ("synthgen", "subclasses", ["0, 3", "3, 1"], ["1, 1"]),
+    ("synthgen", "nonbrain_subclasses", ["0, 0", "2, 1"], ["1, 1", ""]),
     ("synthgen", "master_seed", ["-1"], ["0"]),
     ("augment", "rotation_rad", ["-0.1", "nan"], ["0"]),
     ("augment", "scale_delta", ["-0.1", "1"], ["0", "0.99"]),
     ("augment", "translation_mm", ["-1"], ["0"]),
     ("augment", "shear", ["-0.1"], ["0"]),
+    ("augment", "svf_control_points", ["0"], ["1"]),
     ("augment", "svf_sigma_vox", ["-0.1"], ["0"]),
+    ("augment", "svf_steps", ["-1"], ["0"]),
+    ("augment", "bias_control_points", ["0"], ["1"]),
     ("augment", "bias_log_sigma", ["-0.1"], ["0"]),
     ("augment", "gamma", ["0, 1", "2, 1"], ["0.01, 1"]),
     ("augment", "noise_sigma", ["-0.5, -0.4"], ["0, 0"]),
@@ -146,6 +154,7 @@ DOMAINS = [
     ("augment", "slice_axis", ["-1", "3"], ["0", "2"]),
     ("epg", "esp_ms", ["0"], ["0.1"]),
     ("epg", "etl", ["0"], ["1"]),
+    ("epg", "excitation_deg", ["nan", "inf", "-inf"], ["-90", "0"]),
     ("epg", "refocus_deg", ["-1, 180"], ["0, 180"]),
     ("epg", "te_eff_ms", ["0, 300"], ["6.12, 918"]),
     ("epg", "t1_ms", ["0, 100"], ["1, 100"]),
@@ -161,13 +170,45 @@ DOMAINS = [
 EDGE_COMPANION = {"esp_ms": "te_eff_ms = 0.1, 15", "etl": "te_eff_ms = 6.12, 6.12"}
 
 
+def field_row(key):
+    """The _FIELDS row of an INI key ("reference_1" -> the "reference_" family)."""
+    return next(row for row in _FIELDS if row[1] == key.rstrip("0123456789"))
+
+
+def built_in_python(key, value):
+    """GenerationConfig() with ``key``'s attribute replaced, as a library caller would."""
+    path = field_row(key)[2]
+    if key.startswith("reference_"):
+        value = {int(key[len("reference_"):]): value}
+    owner, _, attr = path.rpartition(".")
+    cfg = GenerationConfig()
+    if not owner:
+        return replace(cfg, **{attr: value})
+    return replace(cfg, **{owner: replace(getattr(cfg, owner), **{attr: value})})
+
+
+def test_domains_cover_every_checked_key():
+    checked = {key + "1" * key.endswith("_") for _, key, _, _, check, _ in _FIELDS if check is not None}
+    assert checked == {row[1] for row in DOMAINS}
+
+
 @pytest.mark.parametrize("section, key, bad, edge", DOMAINS, ids=[row[1] for row in DOMAINS])
 def test_every_range_key_checks_its_domain(tmp_path, section, key, bad, edge):
     p = tmp_path / "domain.ini"
+    parse = field_row(key)[3]
+    built = 0
     for value in bad:
         p.write_text(f"[{section}]\n{key} = {value}\n")
         with pytest.raises(ConfigError, match=f"{section}.{key}: "):
             load_config(p)
+        try:
+            parsed = parse(value, key)
+        except ConfigError:
+            continue  # malformed text, which a Python value cannot be
+        built += 1
+        with pytest.raises(ConfigError, match=f"{section}.{key}: "):
+            built_in_python(key, parsed)
+    assert built, "no out-of-domain value parsed, so none went through the Python route"
     for value in edge:
         p.write_text(f"[{section}]\n{key} = {value}\n{EDGE_COMPANION.get(key, '')}\n")
         load_config(p)
@@ -187,6 +228,18 @@ def test_te_eff_outside_the_echo_train_fails_at_load(tmp_path, lines):
     p.write_text("[epg]\n" + "\n".join(lines) + "\n")
     with pytest.raises(ConfigError, match=r"epg\.te_eff_ms: must lie within \[epg\.esp_ms, epg\.etl \* epg\.esp_ms\]"):
         load_config(p)
+
+
+@pytest.mark.parametrize("kwargs, key", [
+    ({"sigma_range": (-5, -1)}, "synthgen.sigma"),
+    ({"master_seed": -2}, "synthgen.master_seed"),
+    ({"sequence": SequenceRanges(etl=10)}, "epg.te_eff_ms"),  # TE_eff up to 300 ms > 10 * 6.12 ms
+    ({"master_seed": 1.5}, "synthgen.master_seed"),
+    ({"k_range": (1.5, 3.0)}, "synthgen.subclasses"),
+], ids=["sigma", "master_seed", "te_eff_past_the_echo_train", "float_seed", "float_k_range"])
+def test_config_built_in_python_checks_its_domains(kwargs, key):
+    with pytest.raises(ConfigError, match=re.escape(f"{key}: ")):
+        GenerationConfig(**kwargs)
 
 
 def test_reference_interval_with_a_missing_side_names_its_syntax(tmp_path):
