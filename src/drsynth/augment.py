@@ -24,7 +24,6 @@ import enum
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import InvalidGamma, InvalidRange
 from .volume import Volume3D, resample, sample_at_voxels
@@ -447,12 +446,56 @@ def add_gaussian_noise(vol: Volume3D, sigma: float, rng: np.random.Generator) ->
     return vol.with_data(vol.data + noise)
 
 
+_BLUR_BLOCK = 1 << 15  # float64 values per padded block: a few scratch blocks stay in cache
+
+
+def _gaussian_half_kernel(s_vox: float) -> np.ndarray:
+    """w[j], the weight at distance j, of scipy's 3-sigma-truncated, sum-1 kernel."""
+    radius = int(3.0 * s_vox + 0.5)
+    x = np.arange(-radius, radius + 1)
+    phi = np.exp(-0.5 / (s_vox * s_vox) * x**2)
+    return (phi / phi.sum())[radius:]
+
+
+def _blur_axis(data: np.ndarray, w: np.ndarray, axis: int) -> np.ndarray:
+    """Correlate ``data`` with the symmetric kernel ``w`` along ``axis``.
+
+    scipy's correlate1d arithmetic for a symmetric kernel in mode
+    "nearest": in float64, x * w[0], then += (x[-j] + x[+j]) * w[j] for
+    j = r..1, cast to the data's dtype.  Blocks over the other two axes
+    are edge-padded into a float64 buffer that stays in cache.
+    """
+    r = len(w) - 1
+    out = np.empty(data.shape, dtype=data.dtype)
+    src, dst = np.moveaxis(data, axis, 0), np.moveaxis(out, axis, 0)
+    n, rows, cols = src.shape
+    step = max(1, _BLUR_BLOCK // ((n + 2 * r) * cols))
+    buf = np.empty((n + 2 * r, step, cols))
+    acc, pair = np.empty((2, n, step, cols))
+    for a in range(0, rows, step):
+        b = min(step, rows - a)
+        x, ac, pr = buf[:, :b], acc[:, :b], pair[:, :b]
+        x[r : r + n] = src[:, a : a + b]
+        x[:r] = x[r]
+        x[r + n :] = x[r + n - 1]
+        np.multiply(x[r : r + n], w[0], out=ac)
+        for j in range(r, 0, -1):
+            np.add(x[r - j : r - j + n], x[r + j : r + j + n], out=pr)
+            pr *= w[j]
+            ac += pr
+        dst[:, a : a + b] = ac
+    return out
+
+
 def gaussian_blur(vol: Volume3D, sigma_mm) -> Volume3D:
     """Separable Gaussian blur with a 3-sigma-truncated, sum-1 kernel.
 
     ``sigma_mm`` is a scalar or per-axis triple in mm; kernel widths are
     sigma_mm / spacing voxels.  Borders replicate the edge value, so
-    constant volumes stay constant.
+    constant volumes stay constant.  Each axis is bit-identical to scipy's
+    gaussian_filter1d(mode="nearest", truncate=3.0) on float32 data; an
+    axis whose kernel is the single weight 1.0 (below 1/6 voxel) is left
+    as it is, as that filter leaves it.
     """
     sig = np.broadcast_to(np.asarray(sigma_mm, dtype=np.float64), (3,))
     if np.any(sig < 0):
@@ -461,7 +504,9 @@ def gaussian_blur(vol: Volume3D, sigma_mm) -> Volume3D:
     for axis in range(3):
         s_vox = sig[axis] / vol.spacing[axis]
         if s_vox > 1e-8:
-            data = ndimage.gaussian_filter1d(data, s_vox, axis=axis, mode="nearest", truncate=3.0)
+            w = _gaussian_half_kernel(s_vox)
+            if len(w) > 1:
+                data = _blur_axis(data, w, axis)
     return vol.with_data(data)
 
 

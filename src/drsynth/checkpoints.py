@@ -161,6 +161,12 @@ def check_alpha(alpha: float) -> float:
     return alpha
 
 
+def require_same_layout(a: Checkpoint, b: Checkpoint) -> None:
+    """IncompatibleCheckpoints unless both share tensor names, order and shapes."""
+    if not a.same_layout(b):
+        raise IncompatibleCheckpoints("checkpoints differ in tensor names, order, or shapes")
+
+
 def interpolate(a: Checkpoint, b: Checkpoint, alpha: float) -> Checkpoint:
     """Elementwise blend (1 - alpha) * a + alpha * b over every tensor.
 
@@ -169,8 +175,7 @@ def interpolate(a: Checkpoint, b: Checkpoint, alpha: float) -> Checkpoint:
     tensor names, order, and shapes.
     """
     alpha = check_alpha(alpha)
-    if not a.same_layout(b):
-        raise IncompatibleCheckpoints("checkpoints differ in tensor names, order, or shapes")
+    require_same_layout(a, b)
 
     metadata = {f"a.{k}": v for k, v in a.metadata.items()}
     metadata.update({f"b.{k}": v for k, v in b.metadata.items()})

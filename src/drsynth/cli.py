@@ -26,14 +26,20 @@ import platform
 import sys
 import time
 import zlib
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import scipy
 
 from .augment import AugmentProfile
-from .checkpoints import DEFAULT_SWEEP, check_alpha, interpolate, read_checkpoint, write_checkpoint
+from .checkpoints import (
+    DEFAULT_SWEEP,
+    check_alpha,
+    interpolate,
+    read_checkpoint,
+    require_same_layout,
+    write_checkpoint,
+)
 from .config import apply_sections, config_sections, load_config
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
@@ -224,6 +230,8 @@ def cmd_generate(args) -> int:
         for i in range(args.count)
     ]
     if args.workers > 1:
+        from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             names = list(pool.map(_render_task, tasks))
     else:
@@ -351,6 +359,7 @@ def cmd_interpolate(args) -> int:
     alphas = _parse_alphas(args)
     a = read_checkpoint(args.a)
     b = read_checkpoint(args.b)
+    require_same_layout(a, b)
     if len(alphas) == 1 and not os.path.isdir(args.out) and args.out.endswith(".ckpt"):
         write_checkpoint(interpolate(a, b, alphas[0]), args.out)
         print(f"wrote {args.out} (alpha {alphas[0]:g})")

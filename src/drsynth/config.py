@@ -4,7 +4,8 @@ Building a ``GenerationConfig`` (in Python, or from an INI file, a
 sidecar or CLI flags) checks every value against its key's domain
 (numbers are finite and every pair has lo <= hi; e.g. subclass ranges
 need lo >= 1, probabilities lie in [0, 1], T1/T2 > 0, and ``te_eff_ms``
-lies within [esp_ms, etl * esp_ms]) and raises ConfigError naming
+lies within [esp_ms, etl * esp_ms]), and its type and shape (enums,
+2-tuples of numbers, a bool), and raises ConfigError naming
 ``<section>.<key>`` for a value outside it.
 
 The INI file has three sections mirroring the package areas:
@@ -100,9 +101,10 @@ def _num(n=1, cast=_float, lo=None, hi=None, lo_open=False, hi_open=False):
     """(parse, check) for ``n`` numbers, a "lo, hi" pair when n is 2.
 
     The parse casts text to numbers (a pair to a tuple).  The check needs
-    every value finite (integral when ``cast`` is ``_int``), >= lo (> lo
-    when ``lo_open``) and <= hi (< hi when ``hi_open``), and a pair to have
-    lo <= hi; a None bound is not checked.
+    a pair to be a 2-tuple, every value a finite number (integral when
+    ``cast`` is ``_int``), >= lo (> lo when ``lo_open``) and <= hi (< hi
+    when ``hi_open``), and a pair to have lo <= hi; a None bound is not
+    checked.
     """
     rules = [f"{'>' if lo_open else '>='} {lo}"] * (lo is not None)
     rules += [f"{'<' if hi_open else '<='} {hi}"] * (hi is not None)
@@ -115,7 +117,11 @@ def _num(n=1, cast=_float, lo=None, hi=None, lo_open=False, hi_open=False):
         return vals if n == 2 else vals[0]
 
     def check(value, ctx: str) -> None:
+        if n == 2 and not (isinstance(value, tuple) and len(value) == 2):
+            raise ConfigError(f"{ctx}: expected a (lo, hi) tuple, got {value!r}")
         vals = value if n == 2 else (value,)
+        if not all(isinstance(v, numbers.Real) for v in vals):
+            raise ConfigError(f"{ctx}: expected a number, got {value!r}")
         if cast is _int and not all(isinstance(v, numbers.Integral) for v in vals):
             raise ConfigError(f"{ctx}: expected an integer, got {value!r}")
         if not all(-math.inf < v < math.inf for v in vals):
@@ -142,6 +148,16 @@ def _optional(kind):
             lambda value, ctx: value is None or check(value, ctx))
 
 
+def _instance(kind):
+    """The check that a value built in Python holds a ``kind``."""
+
+    def check(value, ctx: str) -> None:
+        if not isinstance(value, kind):
+            raise ConfigError(f"{ctx}: expected {kind.__name__}, got {value!r}")
+
+    return check
+
+
 def _bool(text: str, ctx: str) -> bool:
     v = text.strip().lower()
     if v in ("1", "true", "yes", "on"):
@@ -159,7 +175,7 @@ def _enum(kind):
             valid = ", ".join(m.value for m in kind)
             raise ConfigError(f"{ctx}: {text!r} is not one of {valid}") from None
 
-    return parse, None
+    return parse, _instance(kind)
 
 
 def _parse_interval(text: str, ctx: str) -> ReferenceInterval:
@@ -172,6 +188,7 @@ def _parse_interval(text: str, ctx: str) -> ReferenceInterval:
 
 def _check_interval(iv: ReferenceInterval, ctx: str) -> None:
     """T1 and T2 intervals need lo > 0, the pd interval lo >= 0."""
+    _instance(ReferenceInterval)(iv, ctx)
     for (_, check), pair in zip((_POS_PAIR, _POS_PAIR, _NONNEG_PAIR), (iv.t1_ms, iv.t2_ms, iv.pd)):
         check(pair, ctx)
 
@@ -193,7 +210,7 @@ def _fmt_interval(iv: ReferenceInterval) -> str:
 
 
 # One row per config key: (section, key, GenerationConfig attribute path,
-# parse(text, ctx), check(value, ctx) or None, format(value)).  Row order
+# parse(text, ctx), check(value, ctx), format(value)).  Row order
 # is the order keys are written and checked.  A key ending in "_" is a
 # per-class family over a dict attribute: "reference_3" holds entry 3.
 # The one bound that spans keys (TE_eff within [esp, etl * esp]) is checked
@@ -228,7 +245,7 @@ _FIELDS = (
     ("epg", "excitation_deg", "sequence.excitation_deg", *_num(), repr),
     ("epg", "refocus_deg", "sequence.refocus_range_deg", *_NONNEG_PAIR, _fmt_pair),
     ("epg", "te_eff_ms", "sequence.te_eff_range_ms", *_POS_PAIR, _fmt_pair),
-    ("epg", "voxelwise", "epg_voxelwise", _bool, None, lambda v: "true" if v else "false"),
+    ("epg", "voxelwise", "epg_voxelwise", _bool, _instance(bool), lambda v: "true" if v else "false"),
     ("epg", "t1_ms", "relaxometry.t1_range_ms", *_POS_PAIR, _fmt_pair),
     ("epg", "t2_ms", "relaxometry.t2_range_ms", *_POS_PAIR, _fmt_pair),
     ("epg", "pd", "relaxometry.pd_range", *_NONNEG_PAIR, _fmt_pair),
@@ -249,7 +266,7 @@ def check_config(cfg: GenerationConfig) -> None:
     for section, key, path, _, check, _ in _FIELDS:
         value = _get(cfg, path)
         members = sorted(value.items()) if key.endswith("_") else [("", value)]
-        for suffix, v in members if check else ():
+        for suffix, v in members:
             check(v, f"{section}.{key}{suffix}")
     seq = cfg.sequence
     if not seq.esp_ms <= seq.te_eff_range_ms[0] <= seq.te_eff_range_ms[1] <= seq.etl * seq.esp_ms:

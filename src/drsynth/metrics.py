@@ -23,14 +23,11 @@ from dataclasses import dataclass
 from itertools import combinations
 
 import numpy as np
-from scipy.ndimage import binary_erosion, generate_binary_structure
 
 from .errors import DrsynthError, EmptySample
 from .volume import LabelMap, require_same_grid
 
 FETA_LABELS = tuple(range(1, 8))
-
-_FACE_STRUCT = generate_binary_structure(3, 1)
 
 
 def dice(pred: np.ndarray, gt: np.ndarray) -> float:
@@ -48,7 +45,13 @@ def dice(pred: np.ndarray, gt: np.ndarray) -> float:
 def boundary_mask(mask: np.ndarray) -> np.ndarray:
     """Mask voxels with a face neighbor outside (volume border is outside)."""
     mask = np.asarray(mask, dtype=bool)
-    interior = binary_erosion(mask, structure=_FACE_STRUCT, border_value=0)
+    padded = np.pad(mask, 1)  # the border is outside
+    interior = mask.copy()
+    for axis in range(mask.ndim):
+        for step in (0, 2):  # the neighbor below, then above
+            interior &= padded[tuple(
+                slice(step, step + n) if a == axis else slice(1, 1 + n) for a, n in enumerate(mask.shape)
+            )]
     return mask & ~interior
 
 

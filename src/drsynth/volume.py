@@ -13,7 +13,6 @@ import enum
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .errors import GeometryError, UnknownLabel
 
@@ -131,19 +130,62 @@ def require_same_grid(a, b, what: str = "inputs"):
         raise GeometryError(f"{what} must share dims, spacing, and affine")
 
 
+_CHUNK = 1 << 14  # sample points per pass: the chunk's float64 scratch stays in cache
+
+
 def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") -> np.ndarray:
     """Sample ``data`` at fractional voxel coordinates, keeping its dtype.
 
-    Integer data (labels) is looked up nearest-neighbour, float data
-    interpolated trilinearly.  coords has shape (3, ...) in voxel units.
-    ``oob`` selects what lies beyond the voxel-center hull: "zero" pads
-    with zeros (background), "clamp" replicates the edge.
+    Integer data (labels) is looked up nearest-neighbour at floor(c + 0.5),
+    float data interpolated trilinearly.  coords has shape (3, ...) in
+    voxel units.  ``oob`` selects what lies beyond the voxel-center hull:
+    "zero" pads with zeros (background), "clamp" replicates the edge.
+
+    Bit-identical to scipy's map_coordinates (order 0 or 1, mode
+    "grid-constant" or "nearest"): in float64, w0 = 1 - (c - floor(c))
+    and w1 = 1 - w0 from the unclamped coordinate, then the sum from 0.0
+    of ((v * wx) * wy) * wz over the 8 corners, z fastest.  The source is
+    padded by 2 voxels in the oob mode, so corner indices clipped into
+    [-2, n] need no mask.
     """
-    order = 0 if np.issubdtype(data.dtype, np.integer) else 1
-    modes = {"zero": "grid-constant", "clamp": "nearest"}
+    modes = {"zero": "constant", "clamp": "edge"}
     if oob not in modes:
         raise ValueError(f"unknown oob mode {oob!r}")
-    return ndimage.map_coordinates(data, coords, order=order, mode=modes[oob])
+    data = np.asarray(data)
+    coords = np.asarray(coords)
+    if data.ndim != 3 or coords.shape[:1] != (3,):
+        raise ValueError(f"expected 3D data and (3, ...) coords, got {data.shape} and {coords.shape}")
+    nearest = np.issubdtype(data.dtype, np.integer)
+    padded = np.pad(data, 2, mode=modes[oob])
+    padded = padded if nearest else padded.astype(np.float64)
+    strides = np.array(padded.strides)[:, None] // padded.itemsize
+    src = padded.ravel()
+    hi = np.array(data.shape, dtype=np.float64)[:, None] + 2.0
+    # flat offset of each corner from the low one, z fastest: (0,0,0), (0,0,1), ...
+    corners = [(int(strides[:, 0] @ d), d) for d in np.ndindex(2, 2, 2)]
+    pts = coords.reshape(3, -1)
+    out = np.empty(pts.shape[1], dtype=data.dtype)
+    for s in range(0, pts.shape[1], _CHUNK):
+        c = pts[:, s : s + _CHUNK].astype(np.float64)
+        fl = np.floor(c + 0.5 if nearest else c)
+        idx = (np.clip(fl + 2.0, 0.0, hi).astype(np.intp) * strides).sum(axis=0)
+        # every index is in range, so take's "clip" mode only skips the bounds check
+        if nearest:
+            out[s : s + _CHUNK] = src.take(idx, mode="clip")
+            continue
+        w1 = np.subtract(c, fl, out=c)
+        w = (np.subtract(1.0, w1, out=fl), w1)
+        np.subtract(1.0, w[0], out=w1)
+        acc = np.zeros(c.shape[1])
+        term = np.empty_like(acc)
+        for offset, (dx, dy, dz) in corners:
+            src[offset:].take(idx, out=term, mode="clip")
+            term *= w[dx][0]
+            term *= w[dy][1]
+            term *= w[dz][2]
+            acc += term
+        out[s : s + _CHUNK] = acc
+    return out.reshape(coords.shape[1:])
 
 
 def _resampled_geometry(vol, target_spacing):
@@ -182,5 +224,4 @@ def resample(vol, target_spacing, *, oob: str = "zero"):
     tgt = tuple(float(t) for t in target_spacing)
     if isinstance(vol, LabelMap):
         return LabelMap(sample_at_voxels(vol.data, coords, oob), tgt, vol.scheme, new_affine)
-    data = sample_at_voxels(vol.data.astype(np.float64), coords, oob)
-    return Volume3D(data.astype(np.float32), tgt, new_affine)
+    return Volume3D(sample_at_voxels(vol.data, coords, oob), tgt, new_affine)

@@ -15,8 +15,10 @@ voxelwise, as the physics modes render; EM fits one class of about 300k
 voxels with k=5, the size of a meta-class at 128^3.  The resampling and
 writing kernels run on the tests' toy subject at 128^3: the warp samples
 it through a drawn affine and SVF, the resolution simulation blurs and
-resamples its intensity to a drawn target spacing, and ``write_nifti``
-gzips the normalized image and FeTA label map of one rendered sample.
+resamples its intensity to a drawn target spacing, ``gaussian_blur``
+blurs it at 1 mm on every axis (the middle of the light profile's blur
+range), and ``write_nifti`` gzips the normalized image and FeTA label map
+of one rendered sample.
 """
 
 import numpy as np
@@ -24,7 +26,8 @@ import pytest
 
 from conftest import make_subject
 from drsynth.augment import AffineRanges, ResolutionSim, SvfConfig, draw_affine, draw_resolution
-from drsynth.augment import draw_svf_control, integrate_velocity, simulate_resolution, svf_from_control
+from drsynth.augment import draw_svf_control, gaussian_blur, integrate_velocity, simulate_resolution
+from drsynth.augment import svf_from_control
 from drsynth.augment import transform_coordinates, upsample_control_grid
 from drsynth.epg import RelaxometryMode, RelaxometryRanges, SequenceRanges, draw_sequence
 from drsynth.epg import render_epg_volume, sample_relaxometry
@@ -101,6 +104,12 @@ def test_simulate_resolution(benchmark, subject_128):
     intensity = subject_128[1]
     target, _ = draw_resolution(ResolutionSim(), intensity.spacing, make_stream(0, 0, "resolution"))
     out = benchmark.pedantic(simulate_resolution, args=(intensity, target), rounds=7, warmup_rounds=1)
+    assert out.dims == GRID and np.isfinite(out.data).all()
+
+
+def test_gaussian_blur(benchmark, subject_128):
+    intensity = subject_128[1]
+    out = benchmark.pedantic(gaussian_blur, args=(intensity, 1.0), rounds=7, warmup_rounds=1)
     assert out.dims == GRID and np.isfinite(out.data).all()
 
 

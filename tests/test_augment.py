@@ -313,6 +313,42 @@ def test_blur_keeps_constants_and_reduces_variance(rng):
         gaussian_blur(vol, -1.0)
 
 
+# (dims, kernel radius on axis 0): size-1 axes, axes shorter than the
+# radius, and blocks of one row and of many rows with a remainder
+BLUR_CASES = [((7, 1, 5), 0), ((1, 6, 9), 1), ((9, 11, 4), 2), ((40, 33, 70), 3),
+              ((5, 8, 1), 4), ((13, 2, 17), 5), ((200, 5, 180), 6), ((24, 19, 21), 8)]
+
+
+@pytest.mark.parametrize("dims, radius", BLUR_CASES, ids=[f"r{r}" for _, r in BLUR_CASES])
+def test_blur_matches_scipy_bit_for_bit(dims, radius):
+    # scipy's gaussian_filter1d is the oracle: gaussian_blur does its arithmetic
+    from scipy.ndimage import gaussian_filter1d
+
+    r = np.random.default_rng(radius)
+    spacing = r.uniform(0.5, 2.0, size=3)
+    s_vox = np.append(r.uniform(max(radius - 0.49, 0.01), radius + 0.49) / 3.0, r.uniform(0.0, 2.5, size=2))
+    s_vox[2] *= r.integers(0, 2)  # sometimes no blur on the last axis
+    sigma_mm = s_vox * spacing
+    data = (r.standard_normal(dims) * 50.0).astype(np.float32)
+    data[r.random(dims) < 0.1] = -0.0
+    want = data
+    for axis in range(3):
+        s = sigma_mm[axis] / spacing[axis]
+        if s > 1e-8:
+            want = gaussian_filter1d(want, s, axis=axis, mode="nearest", truncate=3.0)
+    assert int(3.0 * sigma_mm[0] / spacing[0] + 0.5) == radius
+    got = gaussian_blur(Volume3D(data, spacing), sigma_mm).data
+    assert got.dtype == np.float32 and got.tobytes() == want.tobytes()
+    # float32 output rounds away most last-bit differences of the float64
+    # sums, so each axis is also checked on float64 data, where it cannot
+    wide = r.standard_normal(dims) * 50.0
+    for axis, s in enumerate(s_vox):
+        if int(3.0 * s + 0.5) > 0:
+            want = gaussian_filter1d(wide, s, axis=axis, mode="nearest", truncate=3.0)
+            got = augment._blur_axis(wide, augment._gaussian_half_kernel(s), axis)
+            assert got.tobytes() == want.tobytes(), axis
+
+
 def test_blur_sigma_is_in_millimetres(rng):
     data = rng.random((16, 16, 16), dtype=np.float32)
     fine = gaussian_blur(Volume3D(data, (1, 1, 1)), 2.0)

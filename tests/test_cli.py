@@ -32,14 +32,16 @@ def run(capsys, *argv):
 
 
 def test_cli_import_leaves_scipy_spatial_unloaded():
-    # only `evaluate` needs the KD-tree; every other command skips its import cost
+    # only `evaluate` needs the KD-tree and only `generate --workers N` the
+    # process pool; no command needs scipy.ndimage, so none pays their import
     src = os.path.dirname(os.path.dirname(drsynth.__file__))
+    heavy = ["scipy.spatial", "scipy.ndimage", "concurrent.futures.process"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys, drsynth.cli; print('scipy.spatial' in sys.modules)"],
+        [sys.executable, "-c", f"import sys, drsynth.cli; print([m for m in {heavy!r} if m in sys.modules])"],
         env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert proc.stdout.strip() == "[]"
 
 
 # ---------------------------------------------------------------------------
@@ -493,6 +495,17 @@ def test_interpolate_checks_every_alpha_before_writing(tmp_path, capsys):
     assert code == 1
     assert err == "error: InvalidAlpha: alpha must be in [0, 1], got 2.0\n"
     assert not out.exists() or not os.listdir(out)
+
+
+def test_interpolate_checks_the_layout_before_writing(tmp_path, capsys):
+    pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
+    write_checkpoint(Checkpoint({"w": np.zeros((3, 2), np.float32)}), pa)
+    write_checkpoint(Checkpoint({"w": np.zeros((2, 2), np.float32)}), pb)
+    out = tmp_path / "sweep"
+    code, _, err = run(capsys, "interpolate", str(pa), str(pb), "--out", str(out))
+    assert code == 1
+    assert err == "error: IncompatibleCheckpoints: checkpoints differ in tensor names, order, or shapes\n"
+    assert not out.exists()
 
 
 # ---------------------------------------------------------------------------

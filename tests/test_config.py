@@ -187,9 +187,13 @@ def built_in_python(key, value):
     return replace(cfg, **{owner: replace(getattr(cfg, owner), **{attr: value})})
 
 
+# keys whose check is of the value's type alone: see test_python_values_of_the_wrong_type_fail
+TYPE_ONLY = {"mode", "profile", "voxelwise"}
+
+
 def test_domains_cover_every_checked_key():
     checked = {key + "1" * key.endswith("_") for _, key, _, _, check, _ in _FIELDS if check is not None}
-    assert checked == {row[1] for row in DOMAINS}
+    assert checked == {row[1] for row in DOMAINS} | TYPE_ONLY
 
 
 @pytest.mark.parametrize("section, key, bad, edge", DOMAINS, ids=[row[1] for row in DOMAINS])
@@ -240,6 +244,23 @@ def test_te_eff_outside_the_echo_train_fails_at_load(tmp_path, lines):
 def test_config_built_in_python_checks_its_domains(kwargs, key):
     with pytest.raises(ConfigError, match=re.escape(f"{key}: ")):
         GenerationConfig(**kwargs)
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"mode": "synthseg"}, "synthgen.mode: expected GeneratorMode, got 'synthseg'"),
+    ({"profile": "simple"}, "synthgen.profile: expected AugmentProfile, got 'simple'"),
+    ({"k_range": (1, 2, 3)}, "synthgen.subclasses: expected a (lo, hi) tuple, got (1, 2, 3)"),
+    ({"mu_range": 5.0}, "synthgen.mu: expected a (lo, hi) tuple, got 5.0"),
+    ({"mu_range": [0.0, 9.0]}, "synthgen.mu: expected a (lo, hi) tuple, got [0.0, 9.0]"),
+    ({"master_seed": "3"}, "synthgen.master_seed: expected a number, got '3'"),
+    ({"epg_voxelwise": "yes"}, "epg.voxelwise: expected bool, got 'yes'"),
+    ({"relaxometry": RelaxometryRanges(reference={1: (1.0, 2.0)})},
+     "epg.reference_1: expected ReferenceInterval, got (1.0, 2.0)"),
+], ids=["mode_str", "profile_str", "three_tuple", "scalar_pair", "list_pair", "str_seed", "str_bool", "interval"])
+def test_python_values_of_the_wrong_type_fail(kwargs, message):
+    with pytest.raises(ConfigError) as info:
+        GenerationConfig(**kwargs)
+    assert str(info.value) == message
 
 
 def test_reference_interval_with_a_missing_side_names_its_syntax(tmp_path):

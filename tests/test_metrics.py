@@ -67,6 +67,18 @@ def test_boundary_matches_brute_force(seed):
     np.testing.assert_array_equal(boundary_mask(mask), boundary_ref(mask))
 
 
+@pytest.mark.parametrize("dims", [(1, 1, 1), (1, 6, 5), (7, 1, 3), (9, 8, 10)])
+def test_boundary_matches_scipy_erosion(dims):
+    from scipy.ndimage import binary_erosion, generate_binary_structure
+
+    r = np.random.default_rng(sum(dims))
+    face = generate_binary_structure(3, 1)
+    for p in (0.3, 0.8, 1.0):
+        mask = r.random(dims) < p
+        want = mask & ~binary_erosion(mask, structure=face, border_value=0)
+        np.testing.assert_array_equal(boundary_mask(mask), want)
+
+
 def test_boundary_counts_volume_border():
     mask = np.ones((4, 4, 4), bool)
     # the volume edge borders the outside, so every face voxel is boundary
