@@ -30,7 +30,7 @@ from .checkpoints import (
     read_checkpoint,
     write_checkpoint,
 )
-from .config import apply_sections, config_sections, load_config, write_config
+from .config import apply_sections, config_sections, load_config
 from .epg import (
     EpgSequenceParams,
     ReferenceInterval,
@@ -49,7 +49,6 @@ from .generator import (
     GmmParams,
     SamplePair,
     generate_sample,
-    iter_samples,
     render_intensities,
     sample_gmm_params,
 )
@@ -77,7 +76,7 @@ from .metrics import (
 )
 from .nifti import read_nifti, write_nifti
 from .rng import STAGE_IDS, make_stream
-from .volume import LabelMap, LabelScheme, Volume3D, resample
+from .volume import LabelMap, LabelScheme, Volume3D
 
 __version__ = "0.1.0"
 
@@ -128,7 +127,6 @@ __all__ = [
     "hd95",
     "hd100",
     "interpolate",
-    "iter_samples",
     "jacobian_determinant",
     "load_config",
     "make_stream",
@@ -137,7 +135,6 @@ __all__ = [
     "remap_drawem_to_feta",
     "render_epg_volume",
     "render_intensities",
-    "resample",
     "sample_gmm_params",
     "sample_relaxometry",
     "simulate_resolution",
@@ -145,6 +142,5 @@ __all__ = [
     "toy_label_map",
     "wilcoxon_rank_sum",
     "write_checkpoint",
-    "write_config",
     "write_nifti",
 ]

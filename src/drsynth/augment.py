@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidGamma, InvalidRange
-from .volume import Volume3D, resample, sample_at_voxels
+from .volume import Volume3D, sample_at_voxels
 
 _FWHM_TO_SIGMA = 2.0 * np.sqrt(2.0 * np.log(2.0))
 
@@ -555,18 +555,25 @@ def simulate_resolution(vol: Volume3D, target_spacing) -> Volume3D:
     (2 sqrt(2 ln 2)) (FWHM matched to the extra slice width, floored at 0),
     downsampled to the target spacing, and trilinearly sampled back onto
     the original grid.  Constant volumes come back constant to rounding.
+
+    The coarse grid has ceil(dims * source / target) voxels per axis (at
+    least 1) and covers the same extent as the source: coarse voxel g sits
+    at source coordinate g * scale + shift with scale = target / source,
+    so source voxel v sits at coarse coordinate (v + 0.5) / scale - 0.5.
+    Both samplings replicate the edge.
     """
     src = np.asarray(vol.spacing, dtype=np.float64)
     tgt = np.maximum(np.asarray(target_spacing, dtype=np.float64), src)
     sigma_mm = np.maximum(tgt - src, 0.0) / _FWHM_TO_SIGMA
     blurred = gaussian_blur(vol, sigma_mm)
-    low = resample(blurred, tuple(tgt), oob="clamp")
-    # Sample the coarse grid back at the original voxel centers (shared
-    # world frame, edge-clamped): original voxel v sits at coarse
-    # coordinate (v + 0.5) * src/tgt - 0.5.
-    scale = src / tgt
-    positions = [(np.arange(n) + 0.5) * s - 0.5 for n, s in zip(vol.dims, scale)]
-    back = _separable_linear(low.data.astype(np.float64), positions)
+    # eps absorbs float noise so an exact spacing ratio never gains a voxel
+    low_dims = np.maximum(np.ceil(np.asarray(vol.dims) * src / tgt - 1e-9).astype(int), 1)
+    scale = tgt / src
+    shift = 0.5 * scale - 0.5
+    axes = [np.arange(n) * s + h for n, s, h in zip(low_dims, scale, shift)]
+    low = sample_at_voxels(blurred.data, np.stack(np.broadcast_arrays(*np.ix_(*axes))), "clamp")
+    positions = [(np.arange(n) + 0.5) * s - 0.5 for n, s in zip(vol.dims, src / tgt)]
+    back = _separable_linear(low.astype(np.float64), positions)
     return vol.with_data(back.astype(np.float32))
 
 

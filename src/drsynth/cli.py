@@ -29,7 +29,6 @@ import zlib
 from dataclasses import replace
 
 import numpy as np
-import scipy
 
 from .augment import AugmentProfile
 from .checkpoints import (
@@ -40,7 +39,7 @@ from .checkpoints import (
     require_same_layout,
     write_checkpoint,
 )
-from .config import apply_sections, config_sections, load_config
+from .config import apply_sections, config_sections, load_config, read_sections
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
 from .fileio import atomic_write
@@ -77,6 +76,11 @@ def _require_positive(**counts) -> None:
     for name, value in counts.items():
         if value < 1:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
+
+
+def _read_subject(image_path: str, labels_path: str):
+    """A subject's (FETA7 labels, intensity), labels read first."""
+    return read_nifti(labels_path, scheme=LabelScheme.FETA7), read_nifti(image_path)
 
 
 def _load_generation_config(args) -> GenerationConfig:
@@ -132,8 +136,7 @@ def discover_subjects(in_dir: str, skip_unreadable: bool = False):
         (image,), (labels,) = files["image"], files["labels"]
         if skip_unreadable:
             try:
-                read_nifti(labels, scheme=LabelScheme.FETA7)
-                read_nifti(image)
+                _read_subject(image, labels)
             except DrsynthError as exc:
                 print(f"warning: subject {sid!r} unreadable ({exc}), skipping", file=sys.stderr)
                 continue
@@ -153,9 +156,7 @@ def _render_task(task):
     """
     sid, image_path, labels_path, cfg, index, out_dir = task
     try:
-        labels = read_nifti(labels_path, scheme=LabelScheme.FETA7)
-        intensity = read_nifti(image_path)
-        pair = generate_sample(labels, intensity, cfg, index, subject_id=sid)
+        pair = generate_sample(*_read_subject(image_path, labels_path), cfg, index)
 
         base = _sample_basename(sid, index, cfg.master_seed)
         out_image = os.path.join(out_dir, f"{base}_image.nii.gz")
@@ -180,7 +181,7 @@ def _render_task(task):
                 "image": os.path.basename(out_image),
                 "labels": os.path.basename(out_labels),
             },
-            "drawn": pair.provenance["drawn"],
+            "drawn": pair.drawn,
         }
         atomic_write(out_sidecar, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
     except DrsynthError as exc:
@@ -195,22 +196,26 @@ def render_from_sidecar(sidecar_path: str):
     recorded (seed, sample index), and returns the SamplePair.  Output
     volumes are bit-identical to the originally written files.  An input
     whose SHA-256 differs from the recorded one raises InputChanged before
-    any input is parsed.
+    any input is parsed; a file that is not JSON, has another format or
+    lacks a key replay reads raises ConfigError naming the file.
     """
     with open(sidecar_path, "r", encoding="utf-8") as fh:
-        sidecar = json.load(fh)
-    if sidecar.get("format") != SIDECAR_FORMAT:
-        raise ConfigError(f"{sidecar_path}: not a {SIDECAR_FORMAT} sidecar")
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{sidecar_path}: not a JSON sidecar ({exc})") from None
+    found = sidecar.get("format") if isinstance(sidecar, dict) else None
+    if found != SIDECAR_FORMAT:
+        raise ConfigError(f"{sidecar_path}: sidecar format {found!r}, expected {SIDECAR_FORMAT!r}")
+    for key in ("config", "inputs", "sample_index"):
+        if key not in sidecar:
+            raise ConfigError(f"{sidecar_path}: sidecar has no {key!r}")
     cfg = apply_sections(GenerationConfig(), sidecar["config"])
     inputs = sidecar["inputs"]
     for kind in ("labels", "image"):
         if _file_sha(inputs[kind]) != inputs[f"{kind}_sha256"]:
             raise InputChanged(f"{inputs[kind]}: SHA-256 differs from the one recorded in {sidecar_path}")
-    labels = read_nifti(inputs["labels"], scheme=LabelScheme.FETA7)
-    intensity = read_nifti(inputs["image"])
-    return generate_sample(
-        labels, intensity, cfg, sidecar["sample_index"], subject_id=sidecar["subject"]
-    )
+    return generate_sample(*_read_subject(inputs["image"], inputs["labels"]), cfg, sidecar["sample_index"])
 
 
 # ---------------------------------------------------------------------------
@@ -267,7 +272,7 @@ def _time_pipeline(labels, intensity, cfg, runs: int) -> dict:
     for i in range(runs):
         timings: dict = {}
         t0 = time.perf_counter()
-        generate_sample(labels, intensity, cfg, i, subject_id="bench", timings=timings)
+        generate_sample(labels, intensity, cfg, i, timings=timings)
         wall.append(time.perf_counter() - t0)
         per_run.append(timings)
     return _summaries(per_run, wall)
@@ -275,6 +280,8 @@ def _time_pipeline(labels, intensity, cfg, runs: int) -> dict:
 
 def _machine_info() -> dict:
     """What a timing depends on besides the code: CPUs, versions, thread caps."""
+    import scipy  # only this report needs it; keeps CLI import light
+
     return {
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
@@ -311,10 +318,7 @@ def cmd_bench(args) -> int:
     if not subjects:
         raise EmptySample(f"no usable subject pairs in {args.in_dir!r}")
     sid, image_path, labels_path = subjects[0]
-    labels = read_nifti(labels_path, scheme=LabelScheme.FETA7)
-    intensity = read_nifti(image_path)
-
-    report = bench_report(labels, intensity, cfg, args.samples, args.epg_samples)
+    report = bench_report(*_read_subject(image_path, labels_path), cfg, args.samples, args.epg_samples)
     report["subject"] = sid
     m = report["machine"]
     threads = " ".join(f"{k}={v}" for k, v in m["threads"].items())
@@ -420,6 +424,10 @@ def cmd_evaluate(args) -> int:
 
 def cmd_epg(args) -> int:
     cfg = _load_generation_config(args)
+    # the default mode renders randomized relaxometry; a Gaussian mode set in the file fails
+    if cfg.mode not in PHYSICS_MODES and args.config and "mode" in read_sections(args.config).get("synthgen", {}):
+        valid = ", ".join(m.value for m in PHYSICS_MODES)
+        raise ConfigError(f"synthgen.mode: epg needs one of {valid}, got {cfg.mode.value!r}")
     if args.labels:
         labels = read_nifti(args.labels, scheme=LabelScheme.FETA7)
     else:
@@ -440,9 +448,9 @@ def cmd_epg(args) -> int:
 
 def cmd_cluster_inspect(args) -> int:
     cfg = _load_generation_config(args)
-    labels = read_nifti(args.labels, scheme=LabelScheme.FETA7)
-    intensity = read_nifti(args.image)
-    part = partition_subclasses(labels, intensity, cfg, make_stream(cfg.master_seed, 0, "subclass"))
+    part = partition_subclasses(
+        *_read_subject(args.image, args.labels), cfg, make_stream(cfg.master_seed, 0, "subclass")
+    )
 
     out_map = f"{args.out_prefix}_subclasses.nii.gz"
     write_nifti(part.subclass_map, out_map)

@@ -298,11 +298,6 @@ def config_text(cfg: GenerationConfig) -> str:
     return "\n".join(lines)
 
 
-def write_config(cfg: GenerationConfig, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(config_text(cfg))
-
-
 def _family(key: str) -> str:
     """The per-class family a key belongs to ("reference_3" -> "reference_")."""
     return key.rpartition("_")[0] + "_"
@@ -332,8 +327,8 @@ def apply_sections(cfg: GenerationConfig, sections: dict[str, dict[str, str]]) -
     return replace(cfg, **top, **{owner: replace(getattr(cfg, owner), **kv) for owner, kv in changes.items()})
 
 
-def load_config(path, base: GenerationConfig | None = None) -> GenerationConfig:
-    """Read an INI file, overriding ``base`` (package defaults if None)."""
+def read_sections(path) -> dict[str, dict[str, str]]:
+    """An INI file as section -> key -> value text (ConfigError if unreadable)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -342,5 +337,9 @@ def load_config(path, base: GenerationConfig | None = None) -> GenerationConfig:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
-    sections = {name: dict(cp.items(name)) for name in cp.sections()}
-    return apply_sections(base if base is not None else GenerationConfig(), sections)
+    return {name: dict(cp.items(name)) for name in cp.sections()}
+
+
+def load_config(path) -> GenerationConfig:
+    """Read an INI file over the package defaults."""
+    return apply_sections(GenerationConfig(), read_sections(path))

@@ -54,11 +54,11 @@ class GmmParams:
 
 @dataclass(frozen=True)
 class SamplePair:
-    """A rendered training pair plus the record of how it was drawn."""
+    """A rendered training pair plus what was drawn for it."""
 
     image: Volume3D
     labels: LabelMap
-    provenance: dict
+    drawn: dict
 
 
 def sample_gmm_params(
@@ -173,15 +173,15 @@ def generate_sample(
     cfg: GenerationConfig,
     sample_index: int,
     *,
-    subject_id: str = "",
     timings: dict | None = None,
 ) -> SamplePair:
     """Render one randomized training pair from a labeled subject.
 
     Deterministic in (labels, intensity, cfg, sample_index): every stage
     draws from its own stream keyed by (cfg.master_seed, sample_index,
-    stage).  The returned labels are the deformed tissue labels; the image
-    is min-max normalized to [0, 1].  A label map with no foreground
+    stage).  The returned labels are the deformed tissue labels, the image
+    is min-max normalized to [0, 1], and ``drawn`` records every draw (the
+    sidecar's "drawn" block).  A label map with no foreground
     raises EmptySample, a NaN or infinite intensity voxel
     NonFiniteIntensity; anatomy deformed fully out of the field of view
     yields an all-zero (still valid) sample.
@@ -193,9 +193,7 @@ def generate_sample(
     if not np.any(labels.data):
         raise EmptySample("label map has no foreground voxels")
 
-    seed = cfg.master_seed
-    idx = int(sample_index)
-    stream = lambda stage: make_stream(seed, idx, stage)  # noqa: E731
+    stream = lambda stage: make_stream(cfg.master_seed, int(sample_index), stage)  # noqa: E731
     clock = _StageClock(timings)
     drawn: dict = {}
 
@@ -274,15 +272,7 @@ def generate_sample(
     image = image.with_data(augment.rescale_unit(image.data))
     clock.lap("normalize")
 
-    provenance = {
-        "subject": subject_id,
-        "master_seed": seed,
-        "sample_index": idx,
-        "mode": cfg.mode.value,
-        "profile": cfg.profile.value,
-        "drawn": drawn,
-    }
-    return SamplePair(image=image, labels=labels, provenance=provenance)
+    return SamplePair(image=image, labels=labels, drawn=drawn)
 
 
 def _subclass_relaxometry(partition, mode, ranges, rng):
@@ -306,18 +296,3 @@ def _subclass_relaxometry(partition, mode, ranges, rng):
     )
     return sample_relaxometry(mode, per_class, partition.ids(), rng)
 
-
-def iter_samples(subjects, cfg: GenerationConfig, count: int):
-    """Stream samples round-robin over subjects; index i uses subject i % n.
-
-    ``subjects`` is a sequence of (subject_id, labels, intensity).  The
-    offline writer (``cli._render_task``) does not go through here, but it
-    calls the same ``generate_sample`` with the same (cfg, index), so a
-    streamed sample equals the written one for equal (seed, index) and
-    subject order.
-    """
-    if not subjects:
-        raise EmptySample("no subjects to generate from")
-    for i in range(int(count)):
-        sid, labels, intensity = subjects[i % len(subjects)]
-        yield generate_sample(labels, intensity, cfg, i, subject_id=sid)

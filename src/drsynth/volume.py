@@ -187,41 +187,3 @@ def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") ->
         out[s : s + _CHUNK] = acc
     return out.reshape(coords.shape[1:])
 
-
-def _resampled_geometry(vol, target_spacing):
-    src = np.asarray(vol.spacing, dtype=np.float64)
-    tgt = np.asarray(target_spacing, dtype=np.float64)
-    if tgt.shape != (3,) or np.any(tgt <= 0):
-        raise GeometryError(f"target spacing must be three positive floats, got {target_spacing!r}")
-    dims = np.asarray(vol.dims)
-    # eps absorbs float noise so an exact spacing ratio never gains a voxel
-    out_dims = np.ceil(dims * src / tgt - 1e-9).astype(int)
-    out_dims = np.maximum(out_dims, 1)
-    # Output voxel centers live in the input voxel frame at
-    # (v + 0.5) * tgt/src - 0.5, i.e. the two grids cover the same extent.
-    scale = tgt / src
-    shift = 0.5 * scale - 0.5
-    affine = np.array(vol.affine, dtype=np.float64)
-    new_affine = affine.copy()
-    new_affine[:3, :3] = affine[:3, :3] * scale[np.newaxis, :]
-    new_affine[:3, 3] = affine[:3, 3] + affine[:3, :3] @ shift
-    return out_dims, scale, shift, new_affine
-
-
-def resample(vol, target_spacing, *, oob: str = "zero"):
-    """Resample a volume or label map onto a new spacing.
-
-    Output dims are ceil(dim * spacing / target) per axis and voxel centers
-    are mapped through the shared world frame, so resampling at the source
-    spacing is the identity.  Samples falling outside the input take the
-    background value 0.  Label maps use nearest-neighbour lookup, volumes
-    trilinear interpolation.
-    """
-    out_dims, scale, shift, new_affine = _resampled_geometry(vol, target_spacing)
-    grids = np.meshgrid(*[np.arange(n, dtype=np.float64) for n in out_dims], indexing="ij")
-    coords = np.stack([g * s + h for g, s, h in zip(grids, scale, shift)])
-
-    tgt = tuple(float(t) for t in target_spacing)
-    if isinstance(vol, LabelMap):
-        return LabelMap(sample_at_voxels(vol.data, coords, oob), tgt, vol.scheme, new_affine)
-    return Volume3D(sample_at_voxels(vol.data, coords, oob), tgt, new_affine)

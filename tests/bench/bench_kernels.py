@@ -47,7 +47,7 @@ def subject_128():
 
 @pytest.fixture(scope="module")
 def sample_128(subject_128):
-    return generate_sample(*subject_128, GenerationConfig(), 0, subject_id="toy")
+    return generate_sample(*subject_128, GenerationConfig(), 0)
 
 
 @pytest.mark.parametrize("n", [64, 128])

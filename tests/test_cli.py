@@ -18,11 +18,16 @@ from drsynth.cli import (
     read_manifest,
     render_from_sidecar,
 )
+from drsynth.config import load_config
 from drsynth.errors import ConfigError, InputChanged, IoError
+from drsynth.generator import generate_sample
 from drsynth.nifti import read_nifti, write_nifti
 from drsynth.volume import LabelMap, LabelScheme
 
 from conftest import write_subject
+
+
+SRC = os.path.dirname(os.path.dirname(drsynth.__file__))
 
 
 def run(capsys, *argv):
@@ -31,14 +36,13 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
-def test_cli_import_leaves_scipy_spatial_unloaded():
-    # only `evaluate` needs the KD-tree and only `generate --workers N` the
-    # process pool; no command needs scipy.ndimage, so none pays their import
-    src = os.path.dirname(os.path.dirname(drsynth.__file__))
-    heavy = ["scipy.spatial", "scipy.ndimage", "concurrent.futures.process"]
+def test_cli_import_leaves_scipy_unloaded():
+    # only `evaluate` needs the KD-tree, only `bench` scipy's version and only
+    # `generate --workers N` the process pool; no command needs scipy.ndimage
+    heavy = ["scipy", "scipy.spatial", "scipy.ndimage", "concurrent.futures.process"]
     proc = subprocess.run(
         [sys.executable, "-c", f"import sys, drsynth.cli; print([m for m in {heavy!r} if m in sys.modules])"],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+        env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
@@ -159,6 +163,34 @@ def test_generate_writes_samples_and_sidecars(tmp_path, capsys):
     read_nifti(out_dir / "toy_s00000_seed7_labels.nii.gz", scheme=LabelScheme.FETA7)
 
 
+def test_generate_round_robins_over_subjects(tmp_path, capsys):
+    # sample i renders subject i % n, and its sidecar is the one record of
+    # who it is: subject, index, seed, mode and profile
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for seed, sid in enumerate("abc"):
+        write_subject(in_dir, sid, dims=(12, 12, 12), seed=seed)
+    out_dir = tmp_path / "out"
+    cfg_path = small_ini(tmp_path)
+    code, _, err = run(
+        capsys, "generate", "--config", cfg_path, "--in", str(in_dir), "--out", str(out_dir), "--count", "5"
+    )
+    assert code == 0, err
+    for i, sid in enumerate("abcab"):
+        sidecar = json.loads((out_dir / f"{sid}_s{i:05d}_seed7.json").read_text())
+        assert (sidecar["subject"], sidecar["sample_index"], sidecar["master_seed"]) == (sid, i, 7)
+        assert sidecar["config"]["synthgen"]["mode"] == "fetalsynthseg"
+        assert sidecar["config"]["synthgen"]["profile"] == "synthseg"
+    assert len(os.listdir(out_dir)) == 15
+
+    # the written sample 3 is the one generate_sample renders for (subject a, index 3)
+    labels = read_nifti(in_dir / "a_labels.nii.gz", scheme=LabelScheme.FETA7)
+    want = generate_sample(labels, read_nifti(in_dir / "a_image.nii.gz"), load_config(cfg_path), 3)
+    assert read_nifti(out_dir / "a_s00003_seed7_image.nii.gz").data.tobytes() == want.image.data.tobytes()
+    recorded = json.loads((out_dir / "a_s00003_seed7.json").read_text())["drawn"]
+    assert json.loads(json.dumps(want.drawn)) == recorded
+
+
 def test_generate_identical_across_worker_counts(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -202,9 +234,9 @@ def test_sidecar_rerenders_bit_exactly(tmp_path, capsys):
 def test_sidecar_format_is_checked(tmp_path):
     p = tmp_path / "bogus.json"
     p.write_text(json.dumps({"format": "something-else"}))
-    with pytest.raises(Exception) as exc_info:
+    want = f"{p}: sidecar format 'something-else', expected '{SIDECAR_FORMAT}'"
+    with pytest.raises(ConfigError, match=re.escape(want)):
         render_from_sidecar(str(p))
-    assert "sidecar" in str(exc_info.value)
 
 
 def test_generate_seed_flag_overrides_config(tmp_path, capsys):
@@ -424,6 +456,25 @@ def test_replay_checks_the_recorded_config(tmp_path, capsys):
         render_from_sidecar(sidecar)
 
 
+def test_replay_rejects_a_sidecar_that_is_not_json(tmp_path):
+    p = tmp_path / "s.json"
+    for content in (b"{truncated", b"\xff\xfe not utf-8"):
+        p.write_bytes(content)
+        with pytest.raises(ConfigError, match=re.escape(f"{p}: not a JSON sidecar")):
+            render_from_sidecar(str(p))
+
+
+@pytest.mark.parametrize("key", ["config", "inputs", "sample_index"])
+def test_replay_names_a_missing_sidecar_key(tmp_path, capsys, key):
+    _, sidecar = generate_one(tmp_path, capsys)
+    record = json.loads(open(sidecar).read())
+    del record[key]
+    with open(sidecar, "w") as fh:
+        json.dump(record, fh)
+    with pytest.raises(ConfigError, match=re.escape(f"{sidecar}: sidecar has no '{key}'")):
+        render_from_sidecar(sidecar)
+
+
 def test_bad_seed_flag_names_the_config_key(tmp_path, capsys):
     code, _, err = run(capsys, "epg", "--seed", "-3", "--out", str(tmp_path / "epg.nii.gz"))
     assert code == 1
@@ -597,6 +648,22 @@ def test_epg_fabian_needs_reference_intervals(tmp_path, capsys):
     assert err.startswith("error: MissingParams:")
 
 
+def test_epg_rejects_a_gaussian_mode_from_the_config(tmp_path, capsys):
+    ini, out = tmp_path / "g.ini", tmp_path / "e.nii.gz"
+    for mode in ("fetalsynthseg", "synthseg"):
+        ini.write_text(f"[synthgen]\nmode = {mode}\n")
+        code, _, err = run(capsys, "epg", "--config", str(ini), "--out", str(out))
+        assert code == 1
+        assert err == f"error: ConfigError: synthgen.mode: epg needs one of fabian, randfabian, got '{mode}'\n"
+        assert not out.exists()
+    # --mode overrides the file, and a file without a mode keeps the default
+    code, _, err = run(capsys, "epg", "--config", str(ini), "--mode", "randfabian", "--out", str(out))
+    assert code == 0, err
+    ini.write_text("[synthgen]\nmaster_seed = 5\n")
+    code, _, err = run(capsys, "epg", "--config", str(ini), "--out", str(tmp_path / "f.nii.gz"))
+    assert code == 0, err
+
+
 def test_epg_accepts_a_label_file(tmp_path, capsys):
     _, lab = write_subject(tmp_path, "toy", dims=(10, 10, 10))
     out = tmp_path / "r.nii.gz"
@@ -665,3 +732,37 @@ def test_bench_reports_both_pipelines(tmp_path, capsys):
         var: os.environ.get(var) for var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
     }
     assert "machine: " in stdout
+
+
+# ---------------------------------------------------------------------------
+# perfbench's trace hook
+
+
+# the span of every wrapper perfbench/tracehook.py installs
+TRACED_LAYERS = {
+    "cli.render_task", "cli.file_sha", "nifti.read", "nifti.write", "generator.generate_sample",
+    "labels.build_meta_classes", "labels.em_cluster", "augment.integrate_velocity",
+    "augment.upsample_control_grid", "augment.transform_coordinates", "augment.simulate_resolution",
+    "volume.sample_at_voxels", "epg.render_epg_volume", "epg.epg_fse_echoes_batch",
+}
+
+
+def test_tracehook_records_a_span_for_every_wrapped_layer(tmp_path):
+    # the hook wraps names the CLI and the generator look up at call time; a
+    # renamed or bypassed name would silently drop its layer from the benchmark
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "demo", dims=(16, 16, 16))
+    hook = os.path.join(os.path.dirname(SRC), "perfbench", "tracehook.py")
+    names = set()
+    for run_id, mode in enumerate(([], ["--mode", "randfabian"])):
+        trace = tmp_path / f"trace{run_id}"
+        argv = [str(trace), "generate", "--in", str(in_dir), "--out", str(tmp_path / f"out{run_id}"), *mode]
+        proc = subprocess.run(
+            [sys.executable, hook, *argv],
+            env=dict(os.environ, PYTHONPATH=SRC), capture_output=True, text=True, timeout=300,
+        )
+        assert proc.returncode == 0, proc.stderr
+        for spans in trace.glob("spans-*.jsonl"):
+            names |= {json.loads(line)["name"] for line in spans.read_text().splitlines()}
+    assert names == TRACED_LAYERS

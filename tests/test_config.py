@@ -4,14 +4,13 @@ from pathlib import Path
 
 import pytest
 
-from drsynth.augment import AugmentProfile
+from drsynth.augment import AugmentProfile, ResolutionSim
 from drsynth.config import (
     _FIELDS,
     apply_sections,
     config_sections,
     config_text,
     load_config,
-    write_config,
 )
 from drsynth.epg import ReferenceInterval, RelaxometryRanges, SequenceRanges
 from drsynth.errors import ConfigError
@@ -41,14 +40,14 @@ def custom_config():
 def test_defaults_round_trip(tmp_path):
     cfg = GenerationConfig()
     p = tmp_path / "defaults.ini"
-    write_config(cfg, p)
+    p.write_text(config_text(cfg))
     assert load_config(p) == cfg
 
 
 def test_custom_config_round_trips(tmp_path):
     cfg = custom_config()
     p = tmp_path / "custom.ini"
-    write_config(cfg, p)
+    p.write_text(config_text(cfg))
     back = load_config(p)
     assert back == cfg
     assert back.relaxometry.reference[3].pd == (0.8, 1.0)
@@ -76,15 +75,6 @@ def test_partial_file_only_overrides_named_keys(tmp_path):
     assert cfg.resolution.slice_axis == 2
     assert cfg.mode is GeneratorMode.FETALSYNTHSEG  # untouched default
     assert cfg.mu_range == (0.0, 255.0)
-
-
-def test_load_respects_base_config(tmp_path):
-    base = custom_config()
-    p = tmp_path / "tweak.ini"
-    p.write_text("[synthgen]\nmaster_seed = 1000\n")
-    cfg = load_config(p, base=base)
-    assert cfg.master_seed == 1000
-    assert cfg.mode is GeneratorMode.RANDFABIAN  # kept from base
 
 
 def test_unknown_section_and_key_are_errors(tmp_path):
@@ -278,14 +268,15 @@ def test_missing_file_is_config_error(tmp_path):
 
 def test_inline_comments_and_blank_optionals(tmp_path):
     p = tmp_path / "commented.ini"
-    p.write_text(
-        "[synthgen]\n"
-        "master_seed = 3  # pinned for the smoke run\n"
-        "nonbrain_subclasses =\n"
-        "[augment]\n"
-        "slice_axis =\n"
-    )
-    cfg = load_config(p, base=custom_config())
+    # the custom config's text with its seed commented and its non-brain range blanked
+    text = config_text(replace(custom_config(), resolution=ResolutionSim(slice_axis=1)))
+    for old, new in (("master_seed = 42", "master_seed = 3  # pinned for the smoke run"),
+                     ("nonbrain_subclasses = 1, 3", "nonbrain_subclasses ="),
+                     ("slice_axis = 1", "slice_axis =")):
+        assert old in text
+        text = text.replace(old, new)
+    p.write_text(text)
+    cfg = load_config(p)
     assert cfg.master_seed == 3
     assert cfg.nonbrain_k_range is None
     assert cfg.resolution.slice_axis is None

@@ -12,15 +12,12 @@ from drsynth.generator import (
     GmmParams,
     build_generation_labels,
     generate_sample,
-    iter_samples,
     partition_subclasses,
     render_intensities,
     sample_gmm_params,
 )
 from drsynth.labels import toy_label_map
 from drsynth.volume import LabelMap, LabelScheme, Volume3D
-
-from conftest import make_subject
 
 # small deformations keep toy anatomy inside the field of view
 SMALL_AFFINE = AffineRanges(rotation_rad=0.05, scale_delta=0.02, translation_mm=2.0)
@@ -116,14 +113,11 @@ def test_generation_labels_by_mode(subject):
 
 def test_generate_sample_outputs(subject):
     labels, intensity = subject
-    pair = generate_sample(labels, intensity, small_config(), 0, subject_id="toy")
+    pair = generate_sample(labels, intensity, small_config(), 0)
     assert pair.image.dims == labels.dims
     assert pair.labels.scheme is LabelScheme.FETA7
     assert pair.image.data.min() == 0.0 and pair.image.data.max() == 1.0
-    prov = pair.provenance
-    assert prov["subject"] == "toy"
-    assert prov["mode"] == "fetalsynthseg"
-    drawn = prov["drawn"]
+    drawn = pair.drawn
     for key in ("affine", "svf_control_sha256", "k_by_class", "gmm", "bias_control",
                 "gamma", "noise_sigma", "resolution_target_mm", "slice_axis"):
         assert key in drawn
@@ -136,7 +130,7 @@ def test_generate_sample_is_deterministic(subject):
     b = generate_sample(labels, intensity, cfg, 3)
     assert a.image.data.tobytes() == b.image.data.tobytes()
     assert a.labels.data.tobytes() == b.labels.data.tobytes()
-    assert a.provenance == b.provenance
+    assert a.drawn == b.drawn
 
 
 def test_generate_sample_varies_with_index_and_seed(subject):
@@ -188,7 +182,7 @@ def test_physics_modes_record_sequence_and_relaxometry(subject):
     pair = generate_sample(
         labels, intensity, small_config(mode=GeneratorMode.RANDFABIAN), 0
     )
-    drawn = pair.provenance["drawn"]
+    drawn = pair.drawn
     assert "gmm" not in drawn
     seq = drawn["sequence"]
     assert set(seq) == {"esp_ms", "etl", "excitation_deg", "refocus_deg", "te_eff_ms"}
@@ -208,7 +202,7 @@ def test_reference_mode_respects_class_intervals(subject):
     pair = generate_sample(
         labels, intensity, small_config(mode=GeneratorMode.FABIAN), 0
     )
-    drawn = pair.provenance["drawn"]
+    drawn = pair.drawn
     # every subclass triple must come from its parent class interval
     k_by_class = {int(c): k for c, k in drawn["k_by_class"].items()}
     sid = 0
@@ -240,7 +234,7 @@ def test_simple_profile_draws_a_plan(subject):
     labels, intensity = subject
     cfg = small_config(profile=AugmentProfile.SIMPLE)
     pair = generate_sample(labels, intensity, cfg, 0)
-    drawn = pair.provenance["drawn"]
+    drawn = pair.drawn
     assert "simple_plan" in drawn
     assert "affine" not in drawn and "resolution_target_mm" not in drawn
     assert pair.image.data.min() == 0.0 and pair.image.data.max() == 1.0
@@ -250,7 +244,7 @@ def test_simple_profile_draws_a_plan(subject):
 def test_simple_plan_record_keeps_only_drawn_values(subject, p):
     labels, intensity = subject
     cfg = small_config(profile=AugmentProfile.SIMPLE, corruption=CorruptionConfig(op_probability=p))
-    plan = generate_sample(labels, intensity, cfg, 0).provenance["drawn"]["simple_plan"]
+    plan = generate_sample(labels, intensity, cfg, 0).drawn["simple_plan"]
     gates = {"apply_affine", "apply_gamma", "apply_noise", "apply_blur"}
     assert gates | {"noise_sigma"} <= set(plan)
     assert all(plan[g] is bool(p) for g in gates)
@@ -265,7 +259,7 @@ def test_nonbrain_k_range_overrides_class_four(subject):
     labels, intensity = subject
     cfg = small_config(k_range=(1, 1), nonbrain_k_range=(3, 3))
     pair = generate_sample(labels, intensity, cfg, 0)
-    k_by_class = pair.provenance["drawn"]["k_by_class"]
+    k_by_class = pair.drawn["k_by_class"]
     if "4" in k_by_class:
         assert k_by_class["4"] == 3
     assert all(v == 1 for c, v in k_by_class.items() if c != "4")
@@ -274,28 +268,7 @@ def test_nonbrain_k_range_overrides_class_four(subject):
 def test_per_tissue_mode_clusters_each_label(subject):
     labels, intensity = subject
     pair = generate_sample(labels, intensity, small_config(mode=GeneratorMode.SYNTHSEG, k_range=(2, 2)), 0)
-    k_by_class = pair.provenance["drawn"]["k_by_class"]
+    k_by_class = pair.drawn["k_by_class"]
     assert set(k_by_class) <= {str(i) for i in range(1, 8)}
     assert all(v == 2 for v in k_by_class.values())
 
-
-def test_iter_samples_round_robin():
-    subjects = []
-    for i, sid in enumerate(("a", "b", "c")):
-        labels, intensity = make_subject(seed=i)
-        subjects.append((sid, labels, intensity))
-    cfg = small_config()
-    pairs = list(iter_samples(subjects, cfg, 5))
-    assert [p.provenance["subject"] for p in pairs] == ["a", "b", "c", "a", "b"]
-    assert [p.provenance["sample_index"] for p in pairs] == [0, 1, 2, 3, 4]
-
-    # streamed sample 3 is the one generate_sample renders for (subject a, index 3)
-    labels, intensity = subjects[0][1:]
-    want = generate_sample(labels, intensity, cfg, 3, subject_id="a")
-    assert pairs[3].image.data.tobytes() == want.image.data.tobytes()
-    assert pairs[3].labels.data.tobytes() == want.labels.data.tobytes()
-
-
-def test_iter_samples_requires_subjects():
-    with pytest.raises(EmptySample):
-        list(iter_samples([], small_config(), 1))

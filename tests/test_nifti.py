@@ -71,7 +71,7 @@ def test_sample_gzip_is_exact_deterministic_and_near_level_9(tmp_path, dims, bou
     # content offers LZ77, so a tiny grid pays up to about 4% over level 9;
     # from 96^3, the smallest grid the benchmark renders, it pays under 2%.
     labels, intensity = make_subject(dims)
-    pair = generate_sample(labels, intensity, GenerationConfig(), 0, subject_id="toy")
+    pair = generate_sample(labels, intensity, GenerationConfig(), 0)
     size = level_9 = 0
     for kind, vol in (("image", pair.image), ("labels", pair.labels)):
         plain, packed = tmp_path / f"{kind}.nii", tmp_path / f"{kind}.nii.gz"

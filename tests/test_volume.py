@@ -3,12 +3,13 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from drsynth import augment
+from drsynth.augment import simulate_resolution
 from drsynth.errors import GeometryError, UnknownLabel
 from drsynth.volume import (
     LabelMap,
     LabelScheme,
     Volume3D,
-    resample,
     same_grid,
     sample_at_voxels,
 )
@@ -99,47 +100,44 @@ def test_sample_at_integer_coords_is_exact(rng):
     np.testing.assert_array_equal(got.reshape(4, 4, 4), data)
 
 
+# simulate_resolution resamples through a coarse grid that covers the source's
+# extent; the coarse samples are what it passes to sample_at_voxels
+
+
+def _coarse_samples(vol, target):
+    """(coords, values) of simulate_resolution's downsample of ``vol``."""
+    seen = []
+
+    def spy(data, coords, oob="zero"):
+        seen.append((coords, sample_at_voxels(data, coords, oob)))
+        return seen[-1][1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(augment, "sample_at_voxels", spy)
+        simulate_resolution(vol, target)
+    (coords, values), = seen
+    return coords, values
+
+
 def test_resample_identity_spacing_is_identity(rng):
     vol = Volume3D(rng.random((6, 5, 4), dtype=np.float32), (0.8, 1.0, 1.25))
-    out = resample(vol, vol.spacing)
-    assert out.dims == vol.dims
-    np.testing.assert_array_equal(out.data, vol.data)
-    np.testing.assert_allclose(out.affine, vol.affine)
+    coords, values = _coarse_samples(vol, vol.spacing)
+    grid = np.stack(np.meshgrid(*(np.arange(n) for n in vol.dims), indexing="ij"))
+    np.testing.assert_array_equal(coords, grid)
+    np.testing.assert_array_equal(values, vol.data)
+    np.testing.assert_array_equal(simulate_resolution(vol, vol.spacing).data, vol.data)
 
 
 def test_downsample_averages_adjacent_pairs():
-    # Halving the resolution of a ramp lands each output voxel midway
-    # between two inputs, so values are pairwise midpoint averages.
+    # Halving the resolution lands each coarse voxel midway between two
+    # source voxels, so its value is their (blurred) midpoint average.
     ramp = np.arange(8, dtype=np.float32).reshape(8, 1, 1) * np.ones((1, 2, 2), np.float32)
     vol = Volume3D(ramp, (1.0, 1.0, 1.0))
-    out = resample(vol, (2.0, 1.0, 1.0))
-    assert out.dims == (4, 2, 2)
-    np.testing.assert_allclose(out.data[:, 0, 0], [0.5, 2.5, 4.5, 6.5])
-
-
-def test_resample_affine_keeps_world_frame():
-    aff = np.eye(4)
-    aff[:3, 3] = (10.0, 20.0, 30.0)
-    vol = Volume3D(np.zeros((8, 8, 8), np.float32), (1.0, 1.0, 1.0), affine=aff)
-    out = resample(vol, (2.0, 2.0, 2.0))
-    # output voxel 0 center sits at input coordinate 0.5 -> world 10.5
-    np.testing.assert_allclose(out.affine[:3, 3], (10.5, 20.5, 30.5))
-    np.testing.assert_allclose(np.diag(out.affine)[:3], (2.0, 2.0, 2.0))
-
-
-def test_resample_labels_stay_integer(rng):
-    data = rng.integers(0, 8, size=(8, 8, 8), dtype=np.int32)
-    lm = LabelMap(data, (1.0, 1.0, 1.0), LabelScheme.FETA7)
-    out = resample(lm, (1.6, 1.6, 1.6))
-    assert isinstance(out, LabelMap)
-    assert out.data.dtype == np.int32
-    assert out.scheme is LabelScheme.FETA7
-
-
-def test_resample_rejects_bad_spacing():
-    vol = Volume3D(np.zeros((4, 4, 4)), (1, 1, 1))
-    with pytest.raises(GeometryError):
-        resample(vol, (0.0, 1.0, 1.0))
+    coords, values = _coarse_samples(vol, (2.0, 1.0, 1.0))
+    assert values.shape == (4, 2, 2)
+    np.testing.assert_array_equal(coords[0, :, 0, 0], [0.5, 2.5, 4.5, 6.5])
+    blurred = augment.gaussian_blur(vol, (1.0 / augment._FWHM_TO_SIGMA, 0.0, 0.0)).data
+    np.testing.assert_allclose(values[:, 0, 0], (blurred[0::2, 0, 0] + blurred[1::2, 0, 0]) / 2, rtol=1e-6)
 
 
 @given(
@@ -149,8 +147,24 @@ def test_resample_rejects_bad_spacing():
 )
 def test_resampled_dims_formula(n, src, tgt):
     vol = Volume3D(np.zeros((n, 3, 3), np.float32), (src, 1.0, 1.0))
-    out = resample(vol, (tgt, 1.0, 1.0))
-    assert out.dims[0] == max(int(np.ceil(n * src / tgt - 1e-9)), 1)
+    _, values = _coarse_samples(vol, (tgt, 1.0, 1.0))
+    # the target never goes below the source spacing
+    assert values.shape == (max(int(np.ceil(n * src / max(tgt, src) - 1e-9)), 1), 3, 3)
+
+
+@pytest.mark.parametrize("axis", [0, 1, 2])
+def test_simulate_resolution_keeps_a_linear_ramp(axis):
+    # Blur, downsample and the way back are each exact on a linear ramp away
+    # from the borders, so any offset between the coarse and source grids,
+    # even a small fraction of a voxel, shows as a shifted ramp.
+    dims, spacing, target = (40, 36, 44), (0.8, 1.0, 1.25), (2.6, 3.0, 3.9)
+    shape = [1, 1, 1]
+    shape[axis] = dims[axis]
+    ramp = np.broadcast_to(np.arange(dims[axis], dtype=np.float32).reshape(shape), dims)
+    out = simulate_resolution(Volume3D(ramp, spacing), target).data
+    inner = [slice(None)] * 3
+    inner[axis] = slice(10, -10)
+    np.testing.assert_allclose(out[tuple(inner)], ramp[tuple(inner)], rtol=0, atol=1e-4)
 
 
 # scipy's map_coordinates is the oracle: sample_at_voxels does its arithmetic
