@@ -191,6 +191,20 @@ def test_generate_round_robins_over_subjects(tmp_path, capsys):
     assert json.loads(json.dumps(want.drawn)) == recorded
 
 
+def test_generate_requires_subjects(tmp_path, capsys):
+    # a directory whose files pair into no subject is EmptySample, and
+    # nothing is written
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    (in_dir / "readme.txt").write_text("not a volume")
+    (in_dir / "stray.nii.gz").write_bytes(b"ignored: no _image/_labels suffix")
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(out_dir))
+    assert code == 1
+    assert err.startswith("error: EmptySample: no usable (image, labels) subject pairs")
+    assert not out_dir.exists()
+
+
 def test_generate_identical_across_worker_counts(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
