@@ -42,7 +42,7 @@ from .checkpoints import (
 from .config import apply_sections, config_sections, load_config, read_sections
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
-from .fileio import atomic_write
+from .fileio import atomic_write, read_file
 from .generator import (
     PHYSICS_MODES,
     GenerationConfig,
@@ -64,12 +64,9 @@ SIDECAR_FORMAT = "drsynth-sample/1"
 # shared plumbing
 
 
-def _file_sha(path: str) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(1 << 20), b""):
-            h.update(chunk)
-    return h.hexdigest()
+def _file_sha(raw: bytes) -> str:
+    """SHA-256 of an input file's bytes, as ``_read_subject`` read them."""
+    return hashlib.sha256(raw).hexdigest()
 
 
 def _require_positive(**counts) -> None:
@@ -78,9 +75,22 @@ def _require_positive(**counts) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _read_subject(image_path: str, labels_path: str):
-    """A subject's (FETA7 labels, intensity), labels read first."""
-    return read_nifti(labels_path, scheme=LabelScheme.FETA7), read_nifti(image_path)
+def _read_subject(image_path: str, labels_path: str, on_hash=None):
+    """A subject's (FETA7 labels, intensity), labels read first.
+
+    Each file is read once.  With ``on_hash``, ``on_hash(kind, sha256)``
+    sees the hash of a file's bytes before they are decoded, so a hash it
+    records or checks is that of the bytes rendered, even if the file is
+    replaced meanwhile.
+    """
+    volumes = []
+    for kind, path, scheme in (("labels", labels_path, LabelScheme.FETA7), ("image", image_path, None)):
+        raw = [read_file(path)]
+        if on_hash is not None:
+            on_hash(kind, _file_sha(raw[0]))
+        # handed over, not kept here, so read_nifti frees it once inflated
+        volumes.append(read_nifti(path, scheme=scheme, raw=raw.pop()))
+    return tuple(volumes)
 
 
 def _load_generation_config(args) -> GenerationConfig:
@@ -156,7 +166,8 @@ def _render_task(task):
     """
     sid, image_path, labels_path, cfg, index, out_dir = task
     try:
-        pair = generate_sample(*_read_subject(image_path, labels_path), cfg, index)
+        sha: dict[str, str] = {}
+        pair = generate_sample(*_read_subject(image_path, labels_path, sha.__setitem__), cfg, index)
 
         base = _sample_basename(sid, index, cfg.master_seed)
         out_image = os.path.join(out_dir, f"{base}_image.nii.gz")
@@ -173,8 +184,8 @@ def _render_task(task):
             "inputs": {
                 "image": os.path.abspath(image_path),
                 "labels": os.path.abspath(labels_path),
-                "image_sha256": _file_sha(image_path),
-                "labels_sha256": _file_sha(labels_path),
+                "image_sha256": sha["image"],
+                "labels_sha256": sha["labels"],
             },
             "config": config_sections(cfg),
             "outputs": {
@@ -189,6 +200,42 @@ def _render_task(task):
     return base
 
 
+def _read_sidecar(path: str):
+    """A replayable sidecar's (config sections, inputs, sample index).
+
+    Its shape is checked once: anything replay cannot use raises
+    ConfigError naming the file and the key.
+    """
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            sidecar = json.load(fh)
+        except ValueError as exc:
+            raise ConfigError(f"{path}: not a JSON sidecar ({exc})") from None
+    found = sidecar.get("format") if isinstance(sidecar, dict) else None
+    if found != SIDECAR_FORMAT:
+        raise ConfigError(f"{path}: sidecar format {found!r}, expected {SIDECAR_FORMAT!r}")
+    for key in ("config", "inputs", "sample_index"):
+        if key not in sidecar:
+            raise ConfigError(f"{path}: sidecar has no {key!r}")
+    config, inputs, index = sidecar["config"], sidecar["inputs"], sidecar["sample_index"]
+    if not isinstance(config, dict):
+        raise ConfigError(f"{path}: sidecar 'config' is not a table of sections, got {config!r}")
+    for section, kv in config.items():
+        if not isinstance(kv, dict):
+            raise ConfigError(f"{path}: sidecar 'config.{section}' is not a table of keys, got {kv!r}")
+        for key, value in kv.items():
+            if not isinstance(value, str):
+                raise ConfigError(f"{path}: sidecar 'config.{section}.{key}' is not a string, got {value!r}")
+    if not isinstance(inputs, dict):
+        raise ConfigError(f"{path}: sidecar 'inputs' is not a table, got {inputs!r}")
+    for key in ("image", "labels", "image_sha256", "labels_sha256"):
+        if not isinstance(inputs.get(key), str):
+            raise ConfigError(f"{path}: sidecar has no string 'inputs.{key}'")
+    if type(index) is not int or index < 0:
+        raise ConfigError(f"{path}: sidecar 'sample_index' is not an integer >= 0, got {index!r}")
+    return config, inputs, index
+
+
 def render_from_sidecar(sidecar_path: str):
     """Re-render the exact sample a provenance sidecar describes.
 
@@ -196,26 +243,17 @@ def render_from_sidecar(sidecar_path: str):
     recorded (seed, sample index), and returns the SamplePair.  Output
     volumes are bit-identical to the originally written files.  An input
     whose SHA-256 differs from the recorded one raises InputChanged before
-    any input is parsed; a file that is not JSON, has another format or
-    lacks a key replay reads raises ConfigError naming the file.
+    it is parsed; a file that is not JSON, has another format or a key
+    replay cannot use raises ConfigError naming the file.
     """
-    with open(sidecar_path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{sidecar_path}: not a JSON sidecar ({exc})") from None
-    found = sidecar.get("format") if isinstance(sidecar, dict) else None
-    if found != SIDECAR_FORMAT:
-        raise ConfigError(f"{sidecar_path}: sidecar format {found!r}, expected {SIDECAR_FORMAT!r}")
-    for key in ("config", "inputs", "sample_index"):
-        if key not in sidecar:
-            raise ConfigError(f"{sidecar_path}: sidecar has no {key!r}")
-    cfg = apply_sections(GenerationConfig(), sidecar["config"])
-    inputs = sidecar["inputs"]
-    for kind in ("labels", "image"):
-        if _file_sha(inputs[kind]) != inputs[f"{kind}_sha256"]:
+    config, inputs, index = _read_sidecar(sidecar_path)
+    cfg = apply_sections(GenerationConfig(), config)
+
+    def check(kind: str, sha: str) -> None:
+        if sha != inputs[f"{kind}_sha256"]:
             raise InputChanged(f"{inputs[kind]}: SHA-256 differs from the one recorded in {sidecar_path}")
-    return generate_sample(*_read_subject(inputs["image"], inputs["labels"]), cfg, sidecar["sample_index"])
+
+    return generate_sample(*_read_subject(inputs["image"], inputs["labels"], check), cfg, index)
 
 
 # ---------------------------------------------------------------------------

@@ -189,7 +189,7 @@ def _rf_coefficients(flip_deg: float, about: str):
 
 
 class _EpgKernel:
-    """In-place FSE recursion over configuration orders for a spin batch.
+    """FSE recursion over configuration orders for a spin batch.
 
     States are (n_orders, batch) arrays: ``fp`` holds F+ orders, ``fm``
     the conjugated F- orders (so fm[0] == conj(fp[0])), ``z`` the
@@ -198,14 +198,21 @@ class _EpgKernel:
     are reachable from equilibrium and can still rewind to order zero
     before the last rendered echo, which leaves all emitted echoes
     bit-identical to the untruncated recursion.
+
+    Relaxation and shifts work in place.  An RF pulse writes the new
+    transverse rows into two scratch arrays and then swaps them with
+    ``fp`` and ``fm``, so rows at and beyond ``w`` come from whichever
+    buffer was swapped in.  That is exact because the window only grows
+    over rows that no step has written in either buffer (both start at
+    zero), and rows it has shrunk past are never read again.
     """
 
     def __init__(self, n_orders: int, batch: int, dtype):
         self.fp = np.zeros((n_orders, batch), dtype=dtype)
         self.fm = np.zeros_like(self.fp)
         self.z = np.zeros_like(self.fp)
-        self._s1 = np.empty_like(self.fp)
-        self._s2 = np.empty_like(self.fp)
+        self._s1 = np.zeros_like(self.fp)
+        self._s2 = np.zeros_like(self.fp)
         self._t = np.empty_like(self.fp)
         self.z[0] = 1.0
 
@@ -216,20 +223,24 @@ class _EpgKernel:
         np.multiply(fp, rp[0], out=s1)
         np.multiply(fm, rp[1], out=t)
         s1 += t
-        np.multiply(z, rp[2], out=t)
-        s1 += t
         np.multiply(fp, rm[0], out=s2)
         np.multiply(fm, rm[1], out=t)
         s2 += t
-        np.multiply(z, rm[2], out=t)
-        s2 += t
+        # one Z product serves both rows: rm[2] == -rp[2] about x, == rp[2]
+        # about y, and negating a product is exact, so s2 rounds as with its own
+        np.multiply(z, rp[2], out=t)
+        s1 += t
+        if about == "x":
+            s2 -= t
+        else:
+            s2 += t
         np.multiply(fp, rz[0], out=t)
         z *= rz[2]
         z += t
         np.multiply(fm, rz[1], out=t)
         z += t
-        fp[:] = s1
-        fm[:] = s2
+        self.fp, self._s1 = self._s1, self.fp
+        self.fm, self._s2 = self._s2, self.fm
 
     def relax(self, w: int, e1, e2, regrow) -> None:
         """T2 decay on transverse states, T1 decay + order-0 regrowth on Z."""
@@ -287,7 +298,8 @@ def epg_fse_echoes_batch(
     half = seq.esp_ms / 2.0
     e1 = np.exp(-half / t1).astype(real)
     e2 = np.exp(-half / t2).astype(real)
-    regrow = (1.0 - e1).astype(real)
+    # relaxation factors in the state dtype once, not converted on every multiply
+    e1, e2, regrow = (a.astype(dtype) for a in (e1, e2, 1.0 - e1))
 
     n_orders = n_echoes + 2
     kern = _EpgKernel(n_orders, t1.size, dtype)
@@ -319,9 +331,13 @@ def epg_fse_echoes(relax: TissueRelaxometry, seq: EpgSequenceParams) -> np.ndarr
 # volume rendering
 
 
-# Spins per kernel call: its six (echo + 2, batch) complex64 state arrays
-# then take about 40 MiB at echo 49, the latest the default ranges draw.
-_SPIN_BATCH = 16384
+# Spins per kernel call.  One order row of a complex64 state array is then
+# 16 KiB, so the arrays one step touches (about 0.5 MiB each at window 33)
+# stay in a 2 MiB L2 cache instead of streaming from memory.  Timed from
+# 512 to 16384 spins at echoes 15 and 49 (the ends of the default draw
+# range) and 31, 2048 was fastest or tied with 1024, and 16-28% faster
+# than 16384.
+_SPIN_BATCH = 2048
 
 
 def render_epg_volume(

@@ -1,4 +1,4 @@
-"""Atomic file writes shared by every writer in the package."""
+"""File reads and atomic writes shared by the package's readers and writers."""
 
 from __future__ import annotations
 
@@ -6,6 +6,15 @@ import contextlib
 import os
 
 from .errors import IoError
+
+
+def read_file(path) -> bytes:
+    """A file's bytes; a file that cannot be read is an IoError naming it."""
+    try:
+        with open(path, "rb") as fh:
+            return fh.read()
+    except OSError as exc:
+        raise IoError(f"cannot read {path}: {exc}") from exc
 
 
 def atomic_write(path, data: bytes | str | list) -> None:

@@ -27,8 +27,8 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, IoError, TruncatedFile, UnsupportedDatatype, UnsupportedShape
-from .fileio import atomic_write
+from .errors import FormatError, TruncatedFile, UnsupportedDatatype, UnsupportedShape
+from .fileio import atomic_write, read_file
 from .volume import LabelMap, LabelScheme, Volume3D
 
 HEADER_SIZE = 348
@@ -64,12 +64,7 @@ def _is_gzip(blob: bytes) -> bool:
     return blob[:2] == b"\x1f\x8b"
 
 
-def _read_bytes(path) -> bytes:
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+def _gunzip(blob: bytes, path) -> bytes:
     if _is_gzip(blob):
         try:
             blob = gzip.decompress(blob)
@@ -123,15 +118,18 @@ def _affine_from_header(hdr, spacing) -> np.ndarray:
     return aff
 
 
-def read_nifti(path, scheme: LabelScheme | None = None):
+def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None):
     """Read a 3D NIfTI-1 file.
 
     With a declared ``scheme`` the result is a LabelMap (integer data
     required on disk; float data is accepted only when every value is
     integral).  Without one the result is a Volume3D with values cast to
-    float32 and intensity scaling applied.
+    float32 and intensity scaling applied.  ``raw`` is the file's bytes
+    when the caller has read them already (to hash what it decodes); the
+    file is then not read again, and ``path`` names it in errors.
     """
-    blob = _read_bytes(path)
+    blob = _gunzip(read_file(path) if raw is None else raw, path)
+    del raw  # a gzipped file's bytes are not needed once inflated
     hdr, swapped = _unpack_header(blob, path)
 
     magic = hdr["magic"]
@@ -163,7 +161,7 @@ def read_nifti(path, scheme: LabelScheme | None = None):
         img = base + ".img"
         if not os.path.exists(img) and os.path.exists(img + ".gz"):
             img = img + ".gz"
-        payload = _read_bytes(img)
+        payload = _gunzip(read_file(img), img)
         offset = 0
 
     need = int(np.prod(shape)) * dt.itemsize

@@ -10,16 +10,21 @@ not collect it.  Run it by path, with one BLAS/OpenMP thread::
 The velocity fields are drawn and upsampled the way ``generate_sample``
 does it (default ``SvfConfig``), so the displacements, and with them the
 gather pattern, are those of a real sample.  The EPG render uses the
-sequence and relaxometry ``drsynth epg`` draws for the toy map at seed 0,
-voxelwise, as the physics modes render; EM fits one class of about 300k
-voxels with k=5, the size of a meta-class at 128^3.  The resampling and
-writing kernels run on the tests' toy subject at 128^3: the warp samples
-it through a drawn affine and SVF, the resolution simulation blurs and
-resamples its intensity to a drawn target spacing, ``gaussian_blur``
-blurs it at 1 mm on every axis (the middle of the light profile's blur
-range), and ``write_nifti`` gzips the normalized image and FeTA label map
-of one rendered sample.
+refocusing angle and relaxometry ``drsynth epg`` draws for the toy map at
+seed 0 and renders a 64^3 toy map voxelwise, as the physics modes do: its
+175,616 foreground spins fill many kernel batches.  It runs at echo
+indices 15 and 49, the ends of the default TE_eff range, and 31 between
+them, since the cost per spin grows with the echo index.  EM fits one
+class of about 300k voxels with k=5, the size of a meta-class at 128^3.
+The resampling and writing kernels run on the tests' toy subject at
+128^3: the warp samples it through a drawn affine and SVF, the resolution
+simulation blurs and resamples its intensity to a drawn target spacing,
+``gaussian_blur`` blurs it at 1 mm on every axis (the middle of the light
+profile's blur range), and ``write_nifti`` gzips the normalized image and
+FeTA label map of one rendered sample.
 """
+
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -61,15 +66,18 @@ def test_integrate_velocity(benchmark, n):
     assert out.shape == vel.shape and np.isfinite(out).all()
 
 
-def test_render_epg_volume_voxelwise(benchmark):
-    labels = toy_label_map((32, 32, 32))
-    seq = draw_sequence(SequenceRanges(), make_stream(0, 0, "sequence"))
+@pytest.mark.parametrize("echo", [15, 31, 49])
+def test_render_epg_volume_voxelwise(benchmark, echo):
+    labels = toy_label_map((64, 64, 64))
+    drawn = draw_sequence(SequenceRanges(), make_stream(0, 0, "sequence"))
+    seq = replace(drawn, te_eff_ms=echo * drawn.esp_ms)
     relax = sample_relaxometry(
         RelaxometryMode.RANDOMIZED, RelaxometryRanges(), range(1, 8), make_stream(0, 0, "relaxometry")
     )
     out = benchmark.pedantic(
-        render_epg_volume, args=(labels, relax, seq), kwargs={"voxelwise": True}, rounds=7, warmup_rounds=1
+        render_epg_volume, args=(labels, relax, seq), kwargs={"voxelwise": True}, rounds=5, warmup_rounds=1
     )
+    assert seq.echo_index == echo
     assert out.dims == labels.dims and np.isfinite(out.data).all()
 
 

@@ -227,6 +227,87 @@ def epg_echoes_dense(
     return echoes
 
 
+def epg_fse_complex64_ref(
+    t1_ms: np.ndarray,
+    t2_ms: np.ndarray,
+    esp_ms: float,
+    excitation_deg: float,
+    refocus_deg: float,
+    n_echoes: int,
+) -> np.ndarray:
+    """Single-precision FSE echoes of a spin batch, every order at every step.
+
+    Every float32 operation the production kernel must reproduce, one at
+    a time and in order, but with no window: states span 2 * n_echoes + 4
+    orders (none ever leaves the lattice) and every RF pulse, shift and
+    relaxation touches all of them.  The RF pulse computes both transverse
+    rows, each with its own Z product, into scratch and copies them back.
+    Returns (n_echoes, batch) float64 holding |F+(0)|, whose bits the
+    windowed kernel must match.
+    """
+    t1 = np.asarray(t1_ms, dtype=np.float64)
+    t2 = np.asarray(t2_ms, dtype=np.float64)
+    half = esp_ms / 2.0
+    e1 = np.exp(-half / t1).astype(np.float32)
+    e2 = np.exp(-half / t2).astype(np.float32)
+    regrow = (1.0 - e1).astype(np.float32)
+    n = 2 * n_echoes + 4
+    fp = np.zeros((n, t1.size), dtype=np.complex64)
+    fm = np.zeros_like(fp)
+    z = np.zeros_like(fp)
+    z[0] = 1.0
+
+    def rotate(flip, about):
+        a = np.deg2rad(flip)
+        ch, sh = np.cos(a / 2.0) ** 2, np.sin(a / 2.0) ** 2
+        sa, ca = np.sin(a), np.cos(a)
+        if about == "x":
+            rp, rm, rz = (ch, sh, -1j * sa), (sh, ch, 1j * sa), (-0.5j * sa, 0.5j * sa, ca)
+        else:
+            rp, rm, rz = (ch, -sh, sa), (-sh, ch, sa), (-0.5 * sa, -0.5 * sa, ca)
+        s1, s2, t = np.empty_like(fp), np.empty_like(fp), np.empty_like(fp)
+        np.multiply(fp, rp[0], out=s1)
+        np.multiply(fm, rp[1], out=t)
+        s1 += t
+        np.multiply(z, rp[2], out=t)
+        s1 += t
+        np.multiply(fp, rm[0], out=s2)
+        np.multiply(fm, rm[1], out=t)
+        s2 += t
+        np.multiply(z, rm[2], out=t)
+        s2 += t
+        np.multiply(fp, rz[0], out=t)
+        z[:] *= rz[2]
+        z[:] += t
+        np.multiply(fm, rz[1], out=t)
+        z[:] += t
+        fp[:] = s1
+        fm[:] = s2
+
+    def relax():
+        fp[:] *= e2
+        fm[:] *= e2
+        z[:] *= e1
+        z[0] += regrow
+
+    def shift():
+        fp[1:] = fp[:-1]
+        fm[:-1] = fm[1:]
+        fm[-1] = 0.0
+        np.conjugate(fm[0], out=fp[0])
+
+    rotate(excitation_deg, "y")
+    echoes = np.empty((n_echoes, t1.size))
+    for k in range(n_echoes):
+        relax()
+        shift()
+        rotate(refocus_deg, "x")
+        shift()
+        relax()
+        echoes[k] = np.abs(fp[0])
+    return echoes
+
+
 def cpmg_closed_form(esp_ms: float, t2_ms: float, k: int) -> float:
     """Ideal-refocusing echo amplitude: pure T2 exponential at TE = k * ESP."""
     return math.exp(-k * esp_ms / t2_ms)

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import json
 import os
 import re
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import drsynth
+import drsynth.cli
 from drsynth.checkpoints import Checkpoint, read_checkpoint, write_checkpoint
 from drsynth.cli import (
     SIDECAR_FORMAT,
@@ -487,6 +489,67 @@ def test_replay_names_a_missing_sidecar_key(tmp_path, capsys, key):
         json.dump(record, fh)
     with pytest.raises(ConfigError, match=re.escape(f"{sidecar}: sidecar has no '{key}'")):
         render_from_sidecar(sidecar)
+
+
+# (edit of the record, the key the error must name)
+MALFORMED_SIDECARS = {
+    "no_labels_sha": (lambda r: r["inputs"].pop("labels_sha256"), "sidecar has no string 'inputs.labels_sha256'"),
+    "sha_not_a_string": (lambda r: r["inputs"].update(image_sha256=7), "sidecar has no string 'inputs.image_sha256'"),
+    "inputs_not_a_table": (lambda r: r.update(inputs=["in.nii"]), "sidecar 'inputs' is not a table"),
+    "config_a_list": (lambda r: r.update(config=[1]), "sidecar 'config' is not a table of sections"),
+    "section_not_a_table": (lambda r: r["config"].update(synthgen=1), "sidecar 'config.synthgen' is not a table"),
+    "value_not_a_string": (
+        lambda r: r["config"]["synthgen"].update(master_seed=7), "sidecar 'config.synthgen.master_seed' is not a string"
+    ),
+    "index_a_string": (lambda r: r.update(sample_index="0"), "sidecar 'sample_index' is not an integer >= 0"),
+    "index_negative": (lambda r: r.update(sample_index=-1), "sidecar 'sample_index' is not an integer >= 0"),
+    "index_a_bool": (lambda r: r.update(sample_index=True), "sidecar 'sample_index' is not an integer >= 0"),
+}
+
+
+@pytest.mark.parametrize("case", list(MALFORMED_SIDECARS))
+def test_replay_names_a_malformed_sidecar_key(tmp_path, capsys, case):
+    edit, want = MALFORMED_SIDECARS[case]
+    _, sidecar = generate_one(tmp_path, capsys)
+    record = json.loads(open(sidecar).read())
+    edit(record)
+    with open(sidecar, "w") as fh:
+        json.dump(record, fh)
+    with pytest.raises(ConfigError, match=re.escape(f"{sidecar}: {want}")):
+        render_from_sidecar(sidecar)
+
+
+def test_sidecar_hashes_the_input_bytes_that_were_rendered(tmp_path, capsys, monkeypatch):
+    # an input replaced while its sample renders must not be recorded under
+    # the new file's hash: the sidecar names the bytes that were decoded
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    img_path, _ = write_subject(in_dir, "toy", dims=(12, 12, 12))
+    original = open(img_path, "rb").read()
+    image = read_nifti(img_path)
+    render = drsynth.cli.generate_sample
+
+    def replace_then_render(*args, **kwargs):
+        write_nifti(image.with_data(image.data * 2), img_path)
+        return render(*args, **kwargs)
+
+    monkeypatch.setattr(drsynth.cli, "generate_sample", replace_then_render)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        "generate", "--config", small_ini(tmp_path), "--in", str(in_dir),
+        "--out", str(out_dir), "--count", "1",
+    )
+    assert code == 0, err
+    sidecar = str(out_dir / "toy_s00000_seed7.json")
+    assert json.loads(open(sidecar).read())["inputs"]["image_sha256"] == hashlib.sha256(original).hexdigest()
+    monkeypatch.undo()
+    with pytest.raises(InputChanged, match=re.escape(img_path)):
+        render_from_sidecar(sidecar)
+    with open(img_path, "wb") as fh:
+        fh.write(original)
+    written = read_nifti(out_dir / "toy_s00000_seed7_image.nii.gz").data.tobytes()
+    assert render_from_sidecar(sidecar).image.data.tobytes() == written
 
 
 def test_bad_seed_flag_names_the_config_key(tmp_path, capsys):

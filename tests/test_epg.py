@@ -22,7 +22,7 @@ from drsynth.epg import (
 from drsynth.errors import InvalidRange, InvalidRelaxometry, MissingParams
 from drsynth.volume import LabelMap, LabelScheme
 
-from oracles import cpmg_closed_form, epg_echoes_dense
+from oracles import cpmg_closed_form, epg_echoes_dense, epg_fse_complex64_ref
 
 
 def test_sequence_validation():
@@ -113,6 +113,29 @@ def test_single_precision_tracks_double():
     lo = epg_fse_echoes_batch(t1, t2, seq, dtype=np.complex64)
     hi = epg_fse_echoes_batch(t1, t2, seq, dtype=np.complex128)
     np.testing.assert_allclose(lo, hi, rtol=2e-5, atol=1e-7)
+
+
+@pytest.mark.parametrize("refocus", [150.2, 180.0])
+@pytest.mark.parametrize("n_echoes", [1, 3, 31, 49])
+def test_complex64_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocus):
+    # Every spin is elementwise over the batch, so neither the window nor
+    # the batch size (one spin, a few, more than one render batch) may move
+    # a bit; distinct spins show one spin differing, which the per-class
+    # render comparison cannot.
+    seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=refocus, te_eff_ms=90.0)
+    rng = np.random.default_rng(n_echoes)
+    n = epg._SPIN_BATCH + 5
+    t1, t2 = rng.uniform(100.0, 5000.0, n), rng.uniform(10.0, 2000.0, n)
+    want = epg_fse_complex64_ref(t1, t2, seq.esp_ms, seq.excitation_deg, refocus, n_echoes)
+
+    def bits(lo, hi):
+        got = epg_fse_echoes_batch(t1[lo:hi], t2[lo:hi], seq, n_echoes=n_echoes, dtype=np.complex64)
+        np.testing.assert_array_equal(got.view(np.uint64), want[:, lo:hi].view(np.uint64))
+
+    bits(0, n)
+    bits(0, 17)
+    for j in range(17):
+        bits(j, j + 1)
 
 
 def test_batch_input_validation():
