@@ -137,29 +137,47 @@ def _axis_ramp(n: int, axis: int) -> np.ndarray:
     return np.arange(n, dtype=np.float32).reshape(shape)
 
 
-def _separable_linear(arr: np.ndarray, positions) -> np.ndarray:
+# Output values per block of _separable_linear, and voxels per block of
+# transform_coordinates' affine: a block's scratch stays in cache, and no
+# full-size scratch is made.
+_LINEAR_BLOCK = 1 << 16
+
+
+def _separable_linear(arr: np.ndarray, positions, dtype=None) -> np.ndarray:
     """Linearly resample the three leading axes of ``arr``, one axis at a time.
 
     ``positions[i]`` holds fractional source coordinates along axis i,
     edge-clamped.  Because trilinear interpolation factorizes over axes this
     equals dense trilinear sampling on the tensor-product grid, at a fraction
-    of the gather traffic.
+    of the gather traffic.  The arithmetic runs in ``arr``'s dtype and the
+    result is cast to ``dtype`` (default: the same).  It is filled a block
+    of leading-axis rows at a time; every operation is elementwise, so the
+    blocks change no bit, and no full-size scratch is made.
     """
-    for axis, pos in enumerate(positions):
-        n_in = arr.shape[axis]
+    taps = []
+    for pos, n_in in zip(positions, arr.shape):
         pos = np.clip(np.asarray(pos, dtype=np.float64), 0.0, n_in - 1.0)
         i0 = np.minimum(pos.astype(np.int64), max(n_in - 2, 0))
-        lo = np.take(arr, i0, axis=axis)
-        hi = np.take(arr, np.minimum(i0 + 1, n_in - 1), axis=axis)
-        shape = [1] * arr.ndim
-        shape[axis] = pos.size
         # two-weight form: exact at integer positions, unlike lo + (hi-lo)*f
-        w1 = (pos - i0).astype(arr.dtype).reshape(shape)
-        lo *= 1.0 - w1
-        hi *= w1
-        lo += hi
-        arr = lo
-    return arr
+        w1 = (pos - i0).astype(arr.dtype)
+        taps.append((i0, np.minimum(i0 + 1, n_in - 1), 1.0 - w1, w1))
+    out = np.empty(tuple(len(t[0]) for t in taps) + arr.shape[3:], dtype=dtype or arr.dtype)
+    rows = max(1, _LINEAR_BLOCK // max(out[0].size, 1))
+    for a in range(0, out.shape[0], rows):
+        block = arr
+        for axis, (i0, i1, w0, w1) in enumerate(taps):
+            if axis == 0:
+                i0, i1, w0, w1 = (t[a : a + rows] for t in (i0, i1, w0, w1))
+            shape = [1] * arr.ndim
+            shape[axis] = i0.size
+            lo = np.take(block, i0, axis=axis)
+            hi = np.take(block, i1, axis=axis)
+            lo *= w0.reshape(shape)
+            hi *= w1.reshape(shape)
+            lo += hi
+            block = lo
+        out[a : a + rows] = block
+    return out
 
 
 def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
@@ -178,8 +196,9 @@ def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
 
 
 # Voxels per slab of whole x-planes in integrate_velocity.  Its scratch
-# takes about 130 bytes per slab voxel (4 MiB here), half of it the eight
-# corner index arrays; 2**15 and 2**16 timed fastest of 2**13..2**17 at 128^3.
+# takes 52 bytes per slab voxel (1.6 MiB here): the coordinate, three
+# fractions, the base index and its cast, four lerp rows and one gather
+# row.  2**15 and 2**16 timed fastest of 2**13..2**17 at 128^3.
 _SLAB_VOXELS = 1 << 15
 
 
@@ -189,26 +208,39 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
     The field is divided by 2**steps and composed with itself ``steps``
     times: u <- u + u(x + u), with edge-clamped trilinear sampling of u.
     Inputs and outputs are in voxel units.  The sampler is hand-fused:
-    the three channels share one set of gather indices and lerp weights.
+    the three channels share one base index and one set of lerp weights.
 
     Each squaring step runs over slabs of whole x-planes (about
     ``_SLAB_VOXELS`` voxels) rather than the whole volume.  The
     gather-and-lerp chain is memory-bound: whole-volume index and lerp
     scratch (about 150 MiB at 128^3) streams through main memory once per
-    operation, while slab-sized scratch stays in cache.  The eight corner
-    indices of a slab are computed once and shared by the three channels.
-    Gathers read the whole previous-step field and every float32
-    operation is elementwise and in the same order as a whole-volume pass
-    (z-lerps, then y, then x), so the result matches that pass bit for
-    bit, whatever the slab size.
+    operation, while slab-sized scratch stays in cache.  Gathers read the
+    whole previous-step field and every float32 operation is elementwise
+    and in the same order as a whole-volume pass (z-lerps, then y, then
+    x), so the result matches that pass bit for bit, whatever the slab
+    size.
+
+    The floor, the clamp to n - 2 and the fraction are taken in float32,
+    exactly: a clipped coordinate c lies in [0, n - 1], so floor(c) is a
+    float32 integer and c - floor(c) keeps the low bits of c; where the
+    clamp applies, n - 2 is 0 or within a factor of 2 of c, so c - (n - 2)
+    is exact (Sterbenz's lemma).  The weights therefore equal those of
+    integer indices with a float64 fraction, bit for bit.  The eight
+    corners are read from one base index at constant offsets,
+    ``src[offset:].take(base)``.
+    The input is released once copied, so a caller that passes the only
+    reference (CPython 3.11+ hands a call's arguments over to the callee)
+    holds two fields at once, not three.
     """
     vel = np.asarray(vel_vox, dtype=np.float32)
+    del vel_vox
     dims = vel.shape[:3]
     nx, ny, nz = dims
     # channel-first working copies keep the gathers contiguous
     disp = np.empty((3,) + dims, dtype=np.float32)
     for ch in range(3):
         disp[ch] = vel[..., ch]
+    del vel
     disp /= np.float32(2**steps)
 
     # size-1 axes degenerate to stride 0: both lerp endpoints read voxel 0
@@ -216,17 +248,14 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
         int(np.prod(dims[i + 1 :])) if dims[i] > 1 else 0 for i in range(3)
     )
     # corner order (x, y, z) = 000, 001, 010, 011, 100, 101, 110, 111
-    offsets = np.array(
-        [0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz], dtype=np.intp
-    ).reshape(8, 1, 1, 1)
+    offsets = [0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz]
     rows = max(1, min(nx, _SLAB_VOXELS // max(ny * nz, 1)))
     slab = (rows, ny, nz)
     ramps = [_axis_ramp(n, i) for i, n in enumerate(dims)]
     coord = np.empty(slab, dtype=np.float32)
-    idx0 = [np.empty(slab, dtype=np.intp) for _ in range(3)]
     frac = [np.empty(slab, dtype=np.float32) for _ in range(3)]
+    floor = np.empty(slab, dtype=np.intp)
     base = np.empty(slab, dtype=np.intp)
-    corners = np.empty((8,) + slab, dtype=np.intp)
     lerp = [np.empty(slab, dtype=np.float32) for _ in range(4)]
     acc = np.empty(slab, dtype=np.float32)
     nxt = np.empty_like(disp)
@@ -235,21 +264,19 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
         for x0 in range(0, nx, rows):
             x1 = min(x0 + rows, nx)
             r = x1 - x0
-            c = coord[:r]
+            c, fl, b = coord[:r], floor[:r], base[:r]
+            # base = (ix * ny + iy) * nz + iz, built axis by axis
             for i, n in enumerate(dims):
-                ii = idx0[i][:r]
+                f = frac[i][:r]
                 np.add(ramps[i][x0:x1] if i == 0 else ramps[i], disp[i, x0:x1], out=c)
                 np.clip(c, 0.0, n - 1.0, out=c)
-                np.copyto(ii, c, casting="unsafe")  # trunc == floor, coord >= 0
-                np.minimum(ii, max(n - 2, 0), out=ii)
-                np.subtract(c, ii, out=frac[i][:r])
-            b = base[:r]
-            np.multiply(idx0[0][:r], ny, out=b)
-            np.add(b, idx0[1][:r], out=b)
-            np.multiply(b, nz, out=b)
-            np.add(b, idx0[2][:r], out=b)
-            cs = corners[:, :r]
-            np.add(b, offsets, out=cs)
+                np.floor(c, out=f)
+                np.minimum(f, max(n - 2, 0), out=f)
+                np.copyto(fl if i else b, f, casting="unsafe")
+                if i:
+                    np.multiply(b, n, out=b)
+                    np.add(b, fl, out=b)
+                np.subtract(c, f, out=f)
             fx, fy, fz = (f[:r] for f in frac)
             g00, g01, g10, g11 = (g[:r] for g in lerp)
             a = acc[:r]
@@ -258,8 +285,8 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
                 # indices stay in range by construction; mode="clip" skips the
                 # per-element bounds check np.take does in its default mode
                 for j, out in enumerate((g00, g01, g10, g11)):
-                    np.take(src, cs[2 * j], out=out, mode="clip")
-                    np.take(src, cs[2 * j + 1], out=a, mode="clip")
+                    src[offsets[2 * j] :].take(b, out=out, mode="clip")
+                    src[offsets[2 * j + 1] :].take(b, out=a, mode="clip")
                     np.subtract(a, out, out=a)
                     np.multiply(a, fz, out=a)
                     np.add(out, a, out=out)
@@ -288,10 +315,10 @@ def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
 
 def svf_from_control(ctrl: np.ndarray, dims, spacing, steps: int = 7) -> DeformationField:
     """Upsample control velocities to the grid and integrate them (mm output)."""
-    vel = upsample_control_grid(np.asarray(ctrl, dtype=np.float32), dims)
-    disp_vox = integrate_velocity(vel, steps)
-    disp_mm = disp_vox * np.asarray(spacing, dtype=np.float32)
-    return DeformationField(disp_mm)
+    # passed as the only reference, so integrate_velocity can release it
+    disp = integrate_velocity(upsample_control_grid(np.asarray(ctrl, dtype=np.float32), dims), steps)
+    disp *= np.asarray(spacing, dtype=np.float32)
+    return DeformationField(disp)
 
 
 def draw_svf_deformation(dims, spacing, cfg: SvfConfig, rng: np.random.Generator) -> DeformationField:
@@ -348,7 +375,11 @@ def transform_coordinates(dims, spacing, affine: AffineParams | None, field: Def
         m = affine.matrix()
         pos -= center.astype(np.float32)[:, None, None, None]
         lin = m[:3, :3].astype(np.float32)
-        pos = np.einsum("ij,jxyz->ixyz", lin, pos)
+        # in place, a slab of x-planes at a time, so no second full-size grid
+        # is made; each output voxel reads only its own input voxel
+        rows = max(1, _LINEAR_BLOCK // max(dims[1] * dims[2], 1))
+        for a in range(0, dims[0], rows):
+            pos[:, a : a + rows] = np.einsum("ij,jxyz->ixyz", lin, pos[:, a : a + rows])
         pos += (m[:3, 3] + center).astype(np.float32)[:, None, None, None]
 
     pos /= spacing[:, None, None, None]
@@ -572,9 +603,9 @@ def simulate_resolution(vol: Volume3D, target_spacing) -> Volume3D:
     shift = 0.5 * scale - 0.5
     axes = [np.arange(n) * s + h for n, s, h in zip(low_dims, scale, shift)]
     low = sample_at_voxels(blurred.data, np.stack(np.broadcast_arrays(*np.ix_(*axes))), "clamp")
+    del blurred
     positions = [(np.arange(n) + 0.5) * s - 0.5 for n, s in zip(vol.dims, src / tgt)]
-    back = _separable_linear(low.astype(np.float64), positions)
-    return vol.with_data(back.astype(np.float32))
+    return vol.with_data(_separable_linear(low.astype(np.float64), positions, np.float32))
 
 
 # ---------------------------------------------------------------------------

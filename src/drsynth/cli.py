@@ -75,9 +75,10 @@ def _require_positive(**counts) -> None:
             raise ConfigError(f"--{name.replace('_', '-')} must be >= 1, got {value}")
 
 
-def _read_subject(image_path: str, labels_path: str, on_hash=None):
-    """A subject's (FETA7 labels, intensity), labels read first.
+def _read_subject(image_path: str, labels_path: str, on_hash=None) -> list:
+    """A subject's [FETA7 labels, intensity], labels read first.
 
+    A list, so that a caller can hand both volumes over by popping them.
     Each file is read once.  With ``on_hash``, ``on_hash(kind, sha256)``
     sees the hash of a file's bytes before they are decoded, so a hash it
     records or checks is that of the bytes rendered, even if the file is
@@ -90,7 +91,7 @@ def _read_subject(image_path: str, labels_path: str, on_hash=None):
             on_hash(kind, _file_sha(raw[0]))
         # handed over, not kept here, so read_nifti frees it once inflated
         volumes.append(read_nifti(path, scheme=scheme, raw=raw.pop()))
-    return tuple(volumes)
+    return volumes
 
 
 def _load_generation_config(args) -> GenerationConfig:
@@ -167,7 +168,9 @@ def _render_task(task):
     sid, image_path, labels_path, cfg, index, out_dir = task
     try:
         sha: dict[str, str] = {}
-        pair = generate_sample(*_read_subject(image_path, labels_path, sha.__setitem__), cfg, index)
+        subject = _read_subject(image_path, labels_path, sha.__setitem__)
+        # handed over, not kept here, so the sample frees each source volume once warped
+        pair = generate_sample(subject.pop(0), subject.pop(0), cfg, index)
 
         base = _sample_basename(sid, index, cfg.master_seed)
         out_image = os.path.join(out_dir, f"{base}_image.nii.gz")
@@ -253,7 +256,8 @@ def render_from_sidecar(sidecar_path: str):
         if sha != inputs[f"{kind}_sha256"]:
             raise InputChanged(f"{inputs[kind]}: SHA-256 differs from the one recorded in {sidecar_path}")
 
-    return generate_sample(*_read_subject(inputs["image"], inputs["labels"], check), cfg, index)
+    subject = _read_subject(inputs["image"], inputs["labels"], check)
+    return generate_sample(subject.pop(0), subject.pop(0), cfg, index)  # handed over, as in _render_task
 
 
 # ---------------------------------------------------------------------------
@@ -272,10 +276,11 @@ def cmd_generate(args) -> int:
         (*subjects[i % len(subjects)], cfg, i, args.out)
         for i in range(args.count)
     ]
-    if args.workers > 1:
+    workers = min(args.workers, len(tasks))  # a worker beyond the task count would idle
+    if workers > 1:
         from concurrent.futures import ProcessPoolExecutor  # only a pool run pays its import
 
-        with ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             names = list(pool.map(_render_task, tasks))
     else:
         names = [_render_task(t) for t in tasks]
@@ -334,7 +339,13 @@ def _machine_info() -> dict:
 
 
 def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_samples: int) -> dict:
-    """Time the Gaussian-rendering and physics-rendering pipelines."""
+    """Time the Gaussian-rendering and physics-rendering pipelines.
+
+    ``peak_rss_mib`` is the process's peak resident set so far
+    (``ru_maxrss``), which includes the inputs and both pipelines.
+    """
+    import resource  # only this report needs it; Unix-only
+
     gmm_cfg = replace(cfg, mode=GeneratorMode.FETALSYNTHSEG)
     epg_cfg = replace(cfg, mode=GeneratorMode.RANDFABIAN)
     gmm = _time_pipeline(labels, intensity, gmm_cfg, samples)
@@ -345,6 +356,7 @@ def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_sam
         "gmm": gmm,
         "epg": epg,
         "epg_over_gmm_wall_ratio": epg["wall_median_s"] / gmm["wall_median_s"],
+        "peak_rss_mib": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,  # KiB on Linux
         "machine": _machine_info(),
     }
 
@@ -369,6 +381,7 @@ def cmd_bench(args) -> int:
         for stage, s in block["stages"].items():
             print(f"  {stage:<12} median {s['median_s']:.3f} s  max {s['max_s']:.3f} s")
     print(f"epg/gmm wall ratio: {report['epg_over_gmm_wall_ratio']:.1f}x")
+    print(f"peak RSS: {report['peak_rss_mib']:.1f} MiB")
     if args.out:
         atomic_write(args.out, json.dumps(report, sort_keys=True, indent=2) + "\n")
         print(f"wrote {args.out}")

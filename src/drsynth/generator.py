@@ -184,7 +184,9 @@ def generate_sample(
     sidecar's "drawn" block).  A label map with no foreground
     raises EmptySample, a NaN or infinite intensity voxel
     NonFiniteIntensity; anatomy deformed fully out of the field of view
-    yields an all-zero (still valid) sample.
+    yields an all-zero (still valid) sample.  A caller that passes its only
+    references to ``labels`` and ``intensity`` (as ``cli._render_task``
+    does) lets the sample free them once they are warped.
     """
     if labels.scheme is not LabelScheme.FETA7:
         raise InvalidRange(f"generation expects feta7 labels, got {labels.scheme.value}")
@@ -210,14 +212,19 @@ def generate_sample(
         svf = augment.svf_from_control(ctrl, labels.dims, labels.spacing, cfg.svf.integration_steps)
         drawn["affine"] = asdict(affine)
         drawn["svf_control_sha256"] = _sha(ctrl)
+    # Each large intermediate is dropped once no later stage reads it, so a
+    # sample's peak memory is that of its largest stage, not of all of them.
     if affine is not None:
         coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf)
-        labels = augment.apply_transform(labels, affine, svf, coords=coords)
-        intensity = augment.apply_transform(intensity, affine, svf, coords=coords)
+        del svf
+        labels = augment.apply_transform(labels, affine, None, coords=coords)
+        intensity = augment.apply_transform(intensity, affine, None, coords=coords)
+        del coords
     clock.lap("deform")
 
     # 2. partition into subclasses
     partition = partition_subclasses(labels, intensity, cfg, stream("subclass"))
+    del intensity
     drawn["k_by_class"] = {str(k): v for k, v in sorted(partition.k_by_class.items())}
     clock.lap("cluster")
 
@@ -238,6 +245,7 @@ def generate_sample(
         params = sample_gmm_params(partition.ids(), cfg.mu_range, cfg.sigma_range, stream("gmm"))
         image = render_intensities(partition.subclass_map, params, stream("gmm_noise"))
         drawn["gmm"] = {str(i): list(params.by_id[i]) for i in params.ids()}
+    del partition
     clock.lap("render")
 
     # 4. intensity corruption

@@ -146,7 +146,9 @@ def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") ->
     and w1 = 1 - w0 from the unclamped coordinate, then the sum from 0.0
     of ((v * wx) * wy) * wz over the 8 corners, z fastest.  The source is
     padded by 2 voxels in the oob mode, so corner indices clipped into
-    [-2, n] need no mask.
+    [-2, n] need no mask.  The padded source keeps the data's dtype: each
+    gathered corner is widened to float64 in its first multiply, which is
+    exact for float32, so no float64 copy of the volume is made.
     """
     modes = {"zero": "constant", "clamp": "edge"}
     if oob not in modes:
@@ -157,7 +159,6 @@ def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") ->
         raise ValueError(f"expected 3D data and (3, ...) coords, got {data.shape} and {coords.shape}")
     nearest = np.issubdtype(data.dtype, np.integer)
     padded = np.pad(data, 2, mode=modes[oob])
-    padded = padded if nearest else padded.astype(np.float64)
     strides = np.array(padded.strides)[:, None] // padded.itemsize
     src = padded.ravel()
     hi = np.array(data.shape, dtype=np.float64)[:, None] + 2.0
@@ -178,9 +179,10 @@ def sample_at_voxels(data: np.ndarray, coords: np.ndarray, oob: str = "zero") ->
         np.subtract(1.0, w[0], out=w1)
         acc = np.zeros(c.shape[1])
         term = np.empty_like(acc)
+        corner = np.empty(c.shape[1], dtype=src.dtype)
         for offset, (dx, dy, dz) in corners:
-            src[offset:].take(idx, out=term, mode="clip")
-            term *= w[dx][0]
+            src[offset:].take(idx, out=corner, mode="clip")
+            np.multiply(corner, w[dx][0], out=term)
             term *= w[dy][1]
             term *= w[dz][2]
             acc += term

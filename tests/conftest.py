@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
@@ -46,6 +48,25 @@ def write_subject(dirpath, sid="sub", dims=(24, 24, 24), seed=5):
 @pytest.fixture
 def subject():
     return make_subject()
+
+
+def traced_peak(fn, *args, **kwargs) -> int:
+    """Peak bytes ``fn(*args, **kwargs)`` holds at once beyond what was traced before.
+
+    numpy reports every array buffer to tracemalloc, so the figure is
+    deterministic for a given numpy, unlike the process's resident set.
+    """
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def random_label_volume(r, dims=(16, 16, 16), n_labels=2, spacing=(1.0, 1.0, 1.0)):

@@ -153,6 +153,28 @@ def test_separable_linear_matches_trilinear_oracle(rng):
         assert got[idx] == pytest.approx(sample_trilinear(arr, coord, "clamp"), abs=1e-12)
 
 
+@pytest.mark.parametrize("dtype, out", [(np.float32, None), (np.float64, np.float32)])
+def test_separable_linear_blocks_change_no_bit(monkeypatch, rng, dtype, out):
+    arr = rng.standard_normal((6, 5, 7, 3)).astype(dtype)
+    positions = [rng.uniform(-1.0, n, size=m) for n, m in zip(arr.shape, (23, 9, 11))]
+    whole = augment._separable_linear(arr, positions, out)
+    assert whole.shape == (23, 9, 11, 3) and whole.dtype == (out or dtype)
+    # 23 rows in blocks of 1, and of 2 with a short last block
+    for rows in (1, 2):
+        monkeypatch.setattr(augment, "_LINEAR_BLOCK", rows * 9 * 11 * 3)
+        assert augment._separable_linear(arr, positions, out).tobytes() == whole.tobytes()
+
+
+def test_transform_coordinates_blocks_change_no_bit(monkeypatch, rng):
+    dims, spacing = (23, 9, 11), (0.8, 1.0, 1.7)
+    affine = draw_affine(AffineRanges(), rng)
+    field = DeformationField(rng.standard_normal(dims + (3,)).astype(np.float32))
+    whole = transform_coordinates(dims, spacing, affine, field)
+    for rows in (1, 2):
+        monkeypatch.setattr(augment, "_LINEAR_BLOCK", rows * 9 * 11)
+        assert transform_coordinates(dims, spacing, affine, field).tobytes() == whole.tobytes()
+
+
 def test_upsample_is_corner_aligned(rng):
     ctrl = rng.random((4, 4, 4)).astype(np.float32)
     up = upsample_control_grid(ctrl, (13, 9, 21))

@@ -3,8 +3,10 @@ import hashlib
 import json
 import os
 import re
+import resource
 import subprocess
 import sys
+import weakref
 import zlib
 
 import numpy as np
@@ -226,6 +228,62 @@ def test_generate_identical_across_worker_counts(tmp_path, capsys):
             name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))
         }
     assert outs[1] == outs[2]
+
+
+def test_pool_is_capped_at_the_task_count(tmp_path, capsys, monkeypatch):
+    import concurrent.futures
+
+    real = concurrent.futures.ProcessPoolExecutor
+    pools = []
+
+    def spy(max_workers):
+        pools.append(max_workers)
+        return real(max_workers=max_workers)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", spy)
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "a", dims=(12, 12, 12))
+    cfgp = small_ini(tmp_path)
+    outs = {}
+    for count, workers in (("1", "1"), ("1", "4"), ("2", "4")):
+        out_dir = tmp_path / f"c{count}w{workers}"
+        code, _, err = run(
+            capsys,
+            "generate", "--config", cfgp, "--in", str(in_dir), "--out", str(out_dir),
+            "--count", count, "--workers", workers,
+        )
+        assert code == 0, err
+        outs[count, workers] = {name: (out_dir / name).read_bytes() for name in sorted(os.listdir(out_dir))}
+    # one task renders in-process whatever --workers says; two tasks get two workers
+    assert pools == [2]
+    assert outs["1", "4"] == outs["1", "1"]
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="older CPython holds call arguments until the call returns")
+def test_render_task_frees_the_source_volumes_once_warped(tmp_path, monkeypatch):
+    import drsynth.generator
+
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "s", dims=(16, 16, 16))
+    refs, alive = [], []
+    read, partition = drsynth.cli._read_subject, drsynth.generator.partition_subclasses
+
+    def spy_read(*args):
+        volumes = read(*args)
+        refs.extend(weakref.ref(v.data) for v in volumes)
+        return volumes
+
+    def spy_partition(*args):
+        alive.extend(r() is not None for r in refs)
+        return partition(*args)
+
+    monkeypatch.setattr(drsynth.cli, "_read_subject", spy_read)
+    monkeypatch.setattr(drsynth.generator, "partition_subclasses", spy_partition)
+    assert main(["generate", "--in", str(in_dir), "--out", str(tmp_path / "out")]) == 0
+    # clustering runs on the warped volumes; the decoded sources are gone
+    assert alive == [False, False]
 
 
 def test_sidecar_rerenders_bit_exactly(tmp_path, capsys):
@@ -788,6 +846,9 @@ def test_bench_reports_both_pipelines(tmp_path, capsys):
     assert "gmm: median" in stdout and "epg: median" in stdout
     assert "epg/gmm wall ratio" in stdout
     report = json.loads(report_path.read_text())
+    # ru_maxrss of this process: positive, and no more than its peak after the run
+    assert 0 < report["peak_rss_mib"] <= resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+    assert f"peak RSS: {report['peak_rss_mib']:.1f} MiB" in stdout.splitlines()
     assert report["grid"] == [12, 12, 12]
     assert report["subject"] == "toy"
     for pipeline in ("gmm", "epg"):

@@ -19,6 +19,8 @@ from drsynth.generator import (
 from drsynth.labels import toy_label_map
 from drsynth.volume import LabelMap, LabelScheme, Volume3D
 
+from conftest import make_subject, traced_peak
+
 # small deformations keep toy anatomy inside the field of view
 SMALL_AFFINE = AffineRanges(rotation_rad=0.05, scale_delta=0.02, translation_mm=2.0)
 
@@ -272,3 +274,19 @@ def test_per_tissue_mode_clusters_each_label(subject):
     assert set(k_by_class) <= {str(i) for i in range(1, 8)}
     assert all(v == 2 for v in k_by_class.values())
 
+
+
+@pytest.mark.parametrize("index", [1, 2, 3])
+def test_a_sample_holds_only_live_volumes(index):
+    # Each stage's large intermediates are dropped once no later stage reads
+    # them (the SVF, the warp grid, the source intensity, the partition, the
+    # blurred volume), and no kernel makes a full-size float64 copy.  At 48^3
+    # a float32 volume is 0.42 MiB; these samples peak at 12.7 volumes of
+    # traced memory (5.35 MiB), and at 21.5-21.9 volumes when every
+    # intermediate lived until the sample returned.  The bound leaves about
+    # two volumes of margin.
+    labels, intensity = make_subject((48, 48, 48))
+    cfg = GenerationConfig(mode=GeneratorMode.FETALSYNTHSEG, profile=AugmentProfile.SYNTHSEG_FULL)
+    generate_sample(labels, intensity, cfg, 0)  # the first call in a process traces one-time set-up
+    peak = traced_peak(generate_sample, labels, intensity, cfg, index)
+    assert peak < 15 * labels.data.nbytes

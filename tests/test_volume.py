@@ -14,6 +14,7 @@ from drsynth.volume import (
     sample_at_voxels,
 )
 
+from conftest import traced_peak
 from oracles import sample_nearest, sample_trilinear
 
 
@@ -197,3 +198,14 @@ def test_sample_at_voxels_matches_scipy_bit_for_bit(dims, dtype):
             got = sample_at_voxels(data, c, oob)
             assert got.dtype == want.dtype and got.shape == (22, 30)
             assert got.tobytes() == want.tobytes(), (oob, coord_dtype)
+
+
+@pytest.mark.parametrize("oob", ["zero", "clamp"])
+def test_float32_sampling_makes_no_float64_copy_of_its_source(oob):
+    # the padded float32 source is the one volume-sized buffer: a float64
+    # copy of it would double that and more
+    data = np.random.default_rng(3).random((64, 64, 64), dtype=np.float32)
+    coords = np.random.default_rng(4).uniform(-3.0, 67.0, size=(3, 500))
+    padded_bytes = 68**3 * 4
+    peak = traced_peak(sample_at_voxels, data, coords, oob)
+    assert padded_bytes <= peak < 1.25 * padded_bytes
