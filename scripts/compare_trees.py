@@ -15,6 +15,8 @@ both source trees over one command matrix:
 * ``evaluate`` on shifted copies of both label maps;
 * ``generate --config scripts/nondefault.ini --profile synthseg``
   (every key of that file differs from its default);
+* ``generate --config scripts/fabian.ini --mode fabian`` (reference
+  relaxometry for every meta class);
 * ``config_text(GenerationConfig())`` and
   ``config_text(load_config("scripts/nondefault.ini"))``.
 
@@ -55,6 +57,7 @@ from subjects import write_subjects  # noqa: E402
 
 GRIDS = [[[48, 40, 36], [1.0, 1.0, 1.0]], [[32, 32, 32], [1.0, 1.0, 1.0]]]
 NONDEFAULT_INI = os.path.join(ROOT, "scripts", "nondefault.ini")
+FABIAN_INI = os.path.join(ROOT, "scripts", "fabian.ini")
 # config_text of the INI file named by the first argument, or of the defaults
 CONFIG_TEXT = (
     "import sys; from drsynth.config import config_text, load_config; "
@@ -95,6 +98,9 @@ def commands(inputs: dict, out: str):
     d = os.path.join(out, "generate-nondefault")
     yield d, [*cli, "generate", "--config", NONDEFAULT_INI, "--profile", "synthseg", "--in", in_dir,
               "--out", d, "--count", "4"]
+    d = os.path.join(out, "generate-fabian")
+    yield d, [*cli, "generate", "--config", FABIAN_INI, "--mode", "fabian", "--in", in_dir, "--out", d,
+              "--count", "4"]
     for mode in ("fetalsynthseg", "synthseg"):
         d = os.path.join(out, f"cluster-inspect-{mode}")
         yield d, [*cli, "cluster-inspect", "--image", a.image_path, "--labels", a.labels_path, "--mode", mode,

@@ -14,10 +14,8 @@ from .augment import (
     AffineRanges,
     AugmentProfile,
     CorruptionConfig,
-    DeformationField,
     ResolutionSim,
     SvfConfig,
-    apply_transform,
     draw_affine,
     draw_svf_deformation,
     jacobian_determinant,
@@ -88,7 +86,6 @@ __all__ = [
     "CorruptionConfig",
     "DEFAULT_SWEEP",
     "DRAWEM_TO_FETA",
-    "DeformationField",
     "DrsynthError",
     "EpgSequenceParams",
     "EvalReport",
@@ -112,7 +109,6 @@ __all__ = [
     "TissueRelaxometry",
     "Volume3D",
     "apply_sections",
-    "apply_transform",
     "batch_evaluate",
     "bonferroni",
     "build_meta_classes",

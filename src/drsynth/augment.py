@@ -108,28 +108,6 @@ class SvfConfig:
     integration_steps: int = 7
 
 
-@dataclass(frozen=True)
-class DeformationField:
-    """A dense displacement field in mm over the volume grid."""
-
-    disp_mm: np.ndarray
-
-    def __post_init__(self):
-        arr = np.asarray(self.disp_mm, dtype=np.float32)
-        if arr.ndim != 4 or arr.shape[3] != 3:
-            raise InvalidRange(f"displacement field must be (nx, ny, nz, 3), got {arr.shape}")
-        arr = np.ascontiguousarray(arr)
-        arr.flags.writeable = False
-        object.__setattr__(self, "disp_mm", arr)
-
-    @property
-    def dims(self) -> tuple[int, int, int]:
-        return self.disp_mm.shape[:3]
-
-    def as_voxels(self, spacing) -> np.ndarray:
-        return self.disp_mm / np.asarray(spacing, dtype=np.float32)
-
-
 def _axis_ramp(n: int, axis: int) -> np.ndarray:
     """arange(n) shaped to broadcast along one axis of a 3D grid."""
     shape = [1, 1, 1]
@@ -207,7 +185,8 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
 
     The field is divided by 2**steps and composed with itself ``steps``
     times: u <- u + u(x + u), with edge-clamped trilinear sampling of u.
-    Inputs and outputs are in voxel units.  The sampler is hand-fused:
+    Input and output are (nx, ny, nz, 3) in voxel units; the output is a
+    channel-last view of channel-first storage.  The sampler is hand-fused:
     the three channels share one base index and one set of lerp weights.
 
     Each squaring step runs over slabs of whole x-planes (about
@@ -301,10 +280,8 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
                 np.add(g00, g10, out=g00)
                 np.add(disp[ch, x0:x1], g00, out=nxt[ch, x0:x1])
         disp, nxt = nxt, disp
-    # the spare field buffer takes the channel-last result
-    out = nxt.reshape(dims + (3,))
-    np.copyto(out, np.moveaxis(disp, 0, -1))
-    return out
+    # channel-last view: each channel of it is one contiguous block
+    return np.moveaxis(disp, 0, -1)
 
 
 def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
@@ -313,31 +290,32 @@ def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
     return rng.standard_normal((c, c, c, 3)).astype(np.float32) * np.float32(cfg.sigma_vox)
 
 
-def svf_from_control(ctrl: np.ndarray, dims, spacing, steps: int = 7) -> DeformationField:
-    """Upsample control velocities to the grid and integrate them (mm output)."""
+def svf_from_control(ctrl: np.ndarray, dims, spacing, steps: int = 7) -> np.ndarray:
+    """Upsample control velocities to the grid and integrate them: (nx, ny, nz, 3) float32, in mm."""
     # passed as the only reference, so integrate_velocity can release it
     disp = integrate_velocity(upsample_control_grid(np.asarray(ctrl, dtype=np.float32), dims), steps)
     disp *= np.asarray(spacing, dtype=np.float32)
-    return DeformationField(disp)
+    return disp
 
 
-def draw_svf_deformation(dims, spacing, cfg: SvfConfig, rng: np.random.Generator) -> DeformationField:
+def draw_svf_deformation(dims, spacing, cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
     """Draw a random diffeomorphic deformation for a grid.
 
     Velocity components are i.i.d. N(0, sigma_vox^2) on the control grid,
-    upsampled trilinearly, then integrated.  Returned displacements are in
-    mm on the full grid.
+    upsampled trilinearly, then integrated.  Returns the (nx, ny, nz, 3)
+    float32 displacement in mm on the full grid.
     """
     return svf_from_control(draw_svf_control(cfg, rng), dims, spacing, cfg.integration_steps)
 
 
-def jacobian_determinant(field: DeformationField, spacing) -> np.ndarray:
-    """Voxelwise finite-difference Jacobian determinant of id + field.
+def jacobian_determinant(disp_mm: np.ndarray, spacing) -> np.ndarray:
+    """Voxelwise finite-difference Jacobian determinant of id + displacement.
 
-    Central differences inside, one-sided at the border, all in voxel
-    units.  Positive everywhere means the map is locally invertible.
+    ``disp_mm`` is (nx, ny, nz, 3) in mm.  Central differences inside,
+    one-sided at the border, all in voxel units.  Positive everywhere means
+    the map is locally invertible.
     """
-    d = field.as_voxels(spacing).astype(np.float64)
+    d = (disp_mm / np.asarray(spacing, dtype=np.float32)).astype(np.float64)
     jac = np.empty(d.shape[:3] + (3, 3))
     for i in range(3):
         grads = np.gradient(d[..., i], axis=(0, 1, 2))
@@ -352,23 +330,24 @@ def jacobian_determinant(field: DeformationField, spacing) -> np.ndarray:
     )
 
 
-def transform_coordinates(dims, spacing, affine: AffineParams | None, field: DeformationField | None) -> np.ndarray:
-    """Sampling grid (voxel units, channel-first) of affine o (id + field).
+def transform_coordinates(dims, spacing, affine: AffineParams | None, disp_mm: np.ndarray | None) -> np.ndarray:
+    """Sampling grid (voxel units, channel-first) of affine o (id + disp_mm).
 
     Entry [i, x, y, z] is the source coordinate along axis i at which output
-    voxel (x, y, z) samples the input.  Shared by every volume warped through
-    the same transform.
+    voxel (x, y, z) samples the input (the affine acts about the volume
+    center, in mm; ``disp_mm`` is (nx, ny, nz, 3) in mm).  Every volume
+    warped through the transform shares it: ``sample_at_voxels(vol.data, coords)``.
     """
     dims = tuple(int(d) for d in dims)
     spacing = np.asarray(spacing, dtype=np.float32)
     pos = np.empty((3,) + dims, dtype=np.float32)
     for i in range(3):
         np.multiply(_axis_ramp(dims[i], i), spacing[i], out=pos[i])
-    if field is not None:
-        if field.dims != dims:
-            raise InvalidRange("displacement field dims do not match the volume")
+    if disp_mm is not None:
+        if disp_mm.shape != dims + (3,):
+            raise InvalidRange(f"displacement shape {disp_mm.shape} does not match the grid {dims + (3,)}")
         for i in range(3):
-            pos[i] += field.disp_mm[..., i]
+            pos[i] += disp_mm[..., i]
 
     if affine is not None:
         center = (np.asarray(dims, dtype=np.float64) - 1.0) / 2.0 * spacing
@@ -384,30 +363,6 @@ def transform_coordinates(dims, spacing, affine: AffineParams | None, field: Def
 
     pos /= spacing[:, None, None, None]
     return pos
-
-
-def apply_transform(
-    vol,
-    affine: AffineParams | None,
-    field: DeformationField | None,
-    coords: np.ndarray | None = None,
-):
-    """Backward-warp a volume or label map through affine o (id + field).
-
-    Each output voxel samples the input at the affine image (about the
-    volume center, in physical mm) of its own position plus the local
-    displacement.  Out-of-bounds samples take 0.  ``sample_at_voxels``
-    picks the interpolation from the data: label maps (int32) are looked
-    up nearest-neighbour and stay int32, volumes (float32) are sampled
-    trilinearly.  ``coords`` short-circuits the grid build when the
-    caller warps several volumes through one transform.
-    """
-    if affine is None and field is None and coords is None:
-        return vol.with_data(vol.data)
-
-    if coords is None:
-        coords = transform_coordinates(vol.dims, vol.spacing, affine, field)
-    return vol.with_data(sample_at_voxels(vol.data, coords))
 
 
 # ---------------------------------------------------------------------------

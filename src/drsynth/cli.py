@@ -41,7 +41,7 @@ from .checkpoints import (
 )
 from .config import apply_sections, config_sections, load_config, read_sections
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
-from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError
+from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError, prefixed
 from .fileio import atomic_write, read_file
 from .generator import (
     PHYSICS_MODES,
@@ -166,7 +166,7 @@ def _render_task(task):
     sample index prefixed to its message.
     """
     sid, image_path, labels_path, cfg, index, out_dir = task
-    try:
+    with prefixed(f"subject '{sid}' sample {index}: "):
         sha: dict[str, str] = {}
         subject = _read_subject(image_path, labels_path, sha.__setitem__)
         # handed over, not kept here, so the sample frees each source volume once warped
@@ -198,8 +198,6 @@ def _render_task(task):
             "drawn": pair.drawn,
         }
         atomic_write(out_sidecar, json.dumps(sidecar, sort_keys=True, indent=2) + "\n")
-    except DrsynthError as exc:
-        raise type(exc)(f"subject '{sid}' sample {index}: {exc}") from exc
     return base
 
 
@@ -392,8 +390,8 @@ def cmd_bench(args) -> int:
 # interpolate / evaluate / epg / cluster-inspect
 
 
-def _parse_alphas(args) -> list[float]:
-    """The blend coefficients, every one checked before anything is read or written."""
+def _parse_alphas(args) -> dict[str, float]:
+    """The blend coefficients by sweep file name, checked before anything is read or written."""
     if args.alpha is not None and args.alphas is not None:
         raise ConfigError("pass either --alpha or --alphas, not both")
     if args.alpha is not None:
@@ -407,21 +405,25 @@ def _parse_alphas(args) -> list[float]:
             raise ConfigError(f"--alphas: expected numbers, got {args.alphas!r}") from None
         if not alphas:
             raise ConfigError(f"--alphas: no values in {args.alphas!r}")
-    return [check_alpha(alpha) for alpha in alphas]
+    sweep = {f"alpha_{check_alpha(alpha):g}.ckpt": alpha for alpha in alphas}
+    if len(sweep) < len(alphas):
+        raise ConfigError(f"--alphas: two of {args.alphas!r} name one file (alpha_<6 significant digits>.ckpt)")
+    return sweep
 
 
 def cmd_interpolate(args) -> int:
-    alphas = _parse_alphas(args)
+    sweep = _parse_alphas(args)
     a = read_checkpoint(args.a)
     b = read_checkpoint(args.b)
     require_same_layout(a, b)
-    if len(alphas) == 1 and not os.path.isdir(args.out) and args.out.endswith(".ckpt"):
-        write_checkpoint(interpolate(a, b, alphas[0]), args.out)
-        print(f"wrote {args.out} (alpha {alphas[0]:g})")
+    if len(sweep) == 1 and not os.path.isdir(args.out) and args.out.endswith(".ckpt"):
+        (alpha,) = sweep.values()
+        write_checkpoint(interpolate(a, b, alpha), args.out)
+        print(f"wrote {args.out} (alpha {alpha:g})")
         return 0
     os.makedirs(args.out, exist_ok=True)
-    for alpha in alphas:
-        path = os.path.join(args.out, f"alpha_{alpha:g}.ckpt")
+    for name, alpha in sweep.items():
+        path = os.path.join(args.out, name)
         write_checkpoint(interpolate(a, b, alpha), path)
         print(f"wrote {path}")
     return 0
@@ -459,10 +461,10 @@ def cmd_evaluate(args) -> int:
     triples = read_manifest(args.manifest)
     if not triples:
         raise EmptySample(f"manifest {args.manifest!r} lists no pairs")
-    pairs = [
-        (sid, read_nifti(pred, scheme=LabelScheme.FETA7), read_nifti(gt, scheme=LabelScheme.FETA7))
-        for sid, pred, gt in triples
-    ]
+    pairs = []
+    for sid, pred, gt in triples:
+        with prefixed(f"subject '{sid}': "):  # batch_evaluate names it in a scoring error
+            pairs.append((sid, read_nifti(pred, LabelScheme.FETA7), read_nifti(gt, LabelScheme.FETA7)))
     batch = batch_evaluate(pairs)
     text = "\n".join("\t".join(row) for row in report_rows(batch)) + "\n"
     if args.out:

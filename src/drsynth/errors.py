@@ -4,6 +4,8 @@ Every error the public API can raise is defined here so callers (and the
 command line driver) can report failures uniformly.
 """
 
+import contextlib
+
 
 class DrsynthError(Exception):
     """Base class for all package errors."""
@@ -87,3 +89,12 @@ class ConfigError(DrsynthError):
 
 class InputChanged(DrsynthError):
     """A replay input whose content no longer matches its recorded SHA-256."""
+
+
+@contextlib.contextmanager
+def prefixed(prefix: str):
+    """Re-raise a package error from the block as the same type, ``prefix`` before its message."""
+    try:
+        yield
+    except DrsynthError as exc:
+        raise type(exc)(f"{prefix}{exc}") from exc

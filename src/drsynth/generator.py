@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -28,7 +28,6 @@ from .augment import AugmentProfile, draw_simple_plan
 from .config import GenerationConfig, GeneratorMode
 from .epg import (
     RelaxometryMode,
-    RelaxometryRanges,
     draw_sequence,
     render_epg_volume,
     sample_relaxometry,
@@ -109,17 +108,6 @@ def render_intensities(label_map: LabelMap, params: GmmParams, rng: np.random.Ge
     return Volume3D(out, label_map.spacing, label_map.affine)
 
 
-def build_generation_labels(labels: LabelMap, intensity: Volume3D, mode: GeneratorMode) -> LabelMap:
-    """The label map whose classes are clustered and rendered.
-
-    Per-tissue mode keeps the 7-class map; the grouped modes build
-    meta-classes (including image-derived non-brain tissue).
-    """
-    if mode is GeneratorMode.SYNTHSEG:
-        return labels
-    return build_meta_classes(labels, intensity)
-
-
 def _require_finite(intensity: Volume3D) -> None:
     """Raise NonFiniteIntensity, with the count, if any voxel is NaN or inf.
 
@@ -134,25 +122,24 @@ def _require_finite(intensity: Volume3D) -> None:
 def partition_subclasses(labels, intensity, cfg: GenerationConfig, rng) -> SubclassPartition:
     """Split the generation labels of ``cfg.mode`` into EM intensity subclasses.
 
-    ``rng`` draws the component count per class; in the grouped modes the
-    non-brain class draws from ``cfg.nonbrain_k_range`` when it is set.
-    A non-finite intensity voxel raises NonFiniteIntensity.
+    Per-tissue mode clusters the 7 tissue classes; the grouped modes build
+    meta-classes (including image-derived non-brain tissue) and cluster
+    those.  ``rng`` draws the component count per class; in the grouped
+    modes the non-brain class draws from ``cfg.nonbrain_k_range`` when it
+    is set.  A non-finite intensity voxel raises NonFiniteIntensity.
     """
     _require_finite(intensity)
-    gen_labels = build_generation_labels(labels, intensity, cfg.mode)
     per_class = None
-    if cfg.mode is not GeneratorMode.SYNTHSEG and cfg.nonbrain_k_range is not None:
-        per_class = {NONBRAIN_META: cfg.nonbrain_k_range}
-    return split_meta_classes(gen_labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
+    if cfg.mode is not GeneratorMode.SYNTHSEG:
+        labels = build_meta_classes(labels, intensity)
+        if cfg.nonbrain_k_range is not None:
+            per_class = {NONBRAIN_META: cfg.nonbrain_k_range}
+    return split_meta_classes(labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
 
 
 def relaxometry_mode(mode: GeneratorMode) -> RelaxometryMode:
     """Reference intervals for FABIAN, randomized relaxometry otherwise."""
     return RelaxometryMode.REFERENCE if mode is GeneratorMode.FABIAN else RelaxometryMode.RANDOMIZED
-
-
-def _sha(arr: np.ndarray) -> str:
-    return hashlib.sha256(np.ascontiguousarray(arr).tobytes()).hexdigest()[:16]
 
 
 class _StageClock:
@@ -211,14 +198,14 @@ def generate_sample(
         ctrl = augment.draw_svf_control(cfg.svf, stream("spatial_svf"))
         svf = augment.svf_from_control(ctrl, labels.dims, labels.spacing, cfg.svf.integration_steps)
         drawn["affine"] = asdict(affine)
-        drawn["svf_control_sha256"] = _sha(ctrl)
+        drawn["svf_control_sha256"] = hashlib.sha256(ctrl.tobytes()).hexdigest()[:16]
     # Each large intermediate is dropped once no later stage reads it, so a
     # sample's peak memory is that of its largest stage, not of all of them.
     if affine is not None:
         coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf)
         del svf
-        labels = augment.apply_transform(labels, affine, None, coords=coords)
-        intensity = augment.apply_transform(intensity, affine, None, coords=coords)
+        labels = labels.with_data(augment.sample_at_voxels(labels.data, coords))
+        intensity = intensity.with_data(augment.sample_at_voxels(intensity.data, coords))
         del coords
     clock.lap("deform")
 
@@ -290,17 +277,11 @@ def _subclass_relaxometry(partition, mode, ranges, rng):
     subclass draws its own triple from its parent's interval, in subclass
     id order.
     """
-    per_class = RelaxometryRanges(
-        t1_range_ms=ranges.t1_range_ms,
-        t2_range_ms=ranges.t2_range_ms,
-        pd_range=ranges.pd_range,
-        reference={
-            sid: ranges.reference[cls]
-            for sid, (cls, _) in partition.subclass_to_class.items()
-            if cls in ranges.reference
-        }
-        if mode is RelaxometryMode.REFERENCE
-        else {},
-    )
-    return sample_relaxometry(mode, per_class, partition.ids(), rng)
+    reference = {
+        sid: ranges.reference[cls]
+        for sid, (cls, _) in partition.subclass_to_class.items()
+        if cls in ranges.reference
+    }
+    # the randomized draw reads only the global ranges
+    return sample_relaxometry(mode, replace(ranges, reference=reference), partition.ids(), rng)
 

@@ -24,7 +24,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .errors import DrsynthError, EmptySample
+from .errors import EmptySample, prefixed
 from .volume import LabelMap, require_same_grid
 
 FETA_LABELS = tuple(range(1, 8))
@@ -163,10 +163,8 @@ def batch_evaluate(pairs) -> BatchReport:
     """
     reports = []
     for sid, pred, gt in pairs:
-        try:
+        with prefixed(f"subject '{sid}': "):
             reports.append(evaluate(pred, gt, subject=sid))
-        except DrsynthError as exc:
-            raise type(exc)(f"subject '{sid}': {exc}") from exc
     dice_mean, dice_std = _mean_std([r.mean_dice for r in reports if r.mean_dice is not None])
     hd_mean, hd_std = _mean_std([r.mean_hd95 for r in reports if r.mean_hd95 is not None])
     return BatchReport(reports, dice_mean, dice_std, hd_mean, hd_std)

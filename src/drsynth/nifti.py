@@ -27,7 +27,7 @@ import zlib
 
 import numpy as np
 
-from .errors import FormatError, TruncatedFile, UnsupportedDatatype, UnsupportedShape
+from .errors import FormatError, TruncatedFile, UnsupportedDatatype, UnsupportedShape, prefixed
 from .fileio import atomic_write, read_file
 from .volume import LabelMap, LabelScheme, Volume3D
 
@@ -60,12 +60,8 @@ _DTYPES = {
 _CODES = {v: k for k, v in _DTYPES.items()}
 
 
-def _is_gzip(blob: bytes) -> bool:
-    return blob[:2] == b"\x1f\x8b"
-
-
 def _gunzip(blob: bytes, path) -> bytes:
-    if _is_gzip(blob):
+    if blob[:2] == b"\x1f\x8b":
         try:
             blob = gzip.decompress(blob)
         except OSError as exc:
@@ -150,9 +146,10 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
         dt = dt.newbyteorder(">")
 
     if magic == b"n+1\x00":
-        offset = int(round(hdr["vox_offset"]))
+        vox = hdr["vox_offset"]
+        offset = int(round(vox)) if np.isfinite(vox) else -1
         if offset < HEADER_SIZE:
-            raise FormatError(f"{path}: vox_offset {offset} overlaps the header")
+            raise FormatError(f"{path}: vox_offset {vox} is not a byte offset past the header")
         payload = blob
     else:
         base, ext = os.path.splitext(str(path))
@@ -176,20 +173,21 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
     spacing = tuple(float(p) if p > 0 else 1.0 for p in pix)
     affine = _affine_from_header(hdr, spacing)
 
-    if scheme is not None:
-        if np.issubdtype(data.dtype, np.floating):
-            if not np.array_equal(data, np.round(data)):
-                raise FormatError(f"{path}: non-integral values cannot form a label map")
-            data = data.astype(np.int32)
-        return LabelMap(data.astype(np.int32), spacing, scheme, affine)
+    with prefixed(f"{path}: "):  # a container's checks name the file
+        if scheme is not None:
+            if np.issubdtype(data.dtype, np.floating):
+                if not np.array_equal(data, np.round(data)):
+                    raise FormatError("non-integral values cannot form a label map")
+                data = data.astype(np.int32)
+            return LabelMap(data.astype(np.int32), spacing, scheme, affine)
 
-    slope = float(hdr["scl_slope"])
-    inter = float(hdr["scl_inter"])
-    out = data
-    if (slope not in (0.0, 1.0)) or inter != 0.0:
-        eff = slope if slope != 0.0 else 1.0
-        out = data.astype(np.float64) * eff + inter
-    return Volume3D(np.asarray(out, dtype=np.float32), spacing, affine)
+        slope = float(hdr["scl_slope"])
+        inter = float(hdr["scl_inter"])
+        out = data
+        if (slope not in (0.0, 1.0)) or inter != 0.0:
+            eff = slope if slope != 0.0 else 1.0
+            out = data.astype(np.float64) * eff + inter
+        return Volume3D(np.asarray(out, dtype=np.float32), spacing, affine)
 
 
 def _pack_header(shape, spacing, affine, code, bitpix) -> bytes:

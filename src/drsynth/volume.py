@@ -46,10 +46,10 @@ def _freeze(arr: np.ndarray) -> np.ndarray:
 def _check_geometry(data: np.ndarray, spacing, affine: np.ndarray):
     if data.ndim != 3 or min(data.shape) < 1:
         raise GeometryError(f"expected a non-empty 3D array, got shape {data.shape}")
-    if len(spacing) != 3 or any(s <= 0 for s in spacing):
-        raise GeometryError(f"spacing must be three positive floats, got {spacing!r}")
-    if affine.shape != (4, 4):
-        raise GeometryError(f"affine must be 4x4, got {affine.shape}")
+    if len(spacing) != 3 or not all(0 < s < np.inf for s in spacing):
+        raise GeometryError(f"spacing must be three finite positive floats, got {spacing!r}")
+    if affine.shape != (4, 4) or not np.isfinite(affine).all():
+        raise GeometryError(f"affine must be a finite 4x4 matrix, got {affine.tolist()}")
     if abs(np.linalg.det(affine[:3, :3])) < 1e-12:
         raise GeometryError("affine direction block is singular")
 

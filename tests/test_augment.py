@@ -8,12 +8,10 @@ from drsynth.augment import (
     AffineParams,
     AffineRanges,
     CorruptionConfig,
-    DeformationField,
     ResolutionSim,
     SvfConfig,
     add_gaussian_noise,
     apply_bias_field,
-    apply_transform,
     bias_field_from_control,
     draw_affine,
     draw_resolution,
@@ -30,7 +28,7 @@ from drsynth.augment import (
     upsample_control_grid,
 )
 from drsynth.errors import InvalidGamma, InvalidRange
-from drsynth.volume import LabelMap, LabelScheme, Volume3D
+from drsynth.volume import LabelMap, LabelScheme, Volume3D, sample_at_voxels
 
 from oracles import integrate_velocity_ref, sample_trilinear
 
@@ -63,15 +61,20 @@ def test_drawn_affine_respects_ranges(seed):
     assert all(abs(s) <= ranges.shear for s in p.shear)
 
 
-def test_apply_transform_none_is_identity(rng):
+def warp(vol, affine, disp_mm=None):
+    """A volume backward-warped as the generator warps it."""
+    coords = transform_coordinates(vol.dims, vol.spacing, affine, disp_mm)
+    return vol.with_data(sample_at_voxels(vol.data, coords))
+
+
+def test_no_transform_is_identity(rng):
     vol = Volume3D(rng.random((6, 6, 6), dtype=np.float32), (1, 1, 1))
-    out = apply_transform(vol, None, None)
-    np.testing.assert_array_equal(out.data, vol.data)
+    np.testing.assert_array_equal(warp(vol, None).data, vol.data)
 
 
 def test_identity_affine_leaves_volume_unchanged(rng):
     vol = Volume3D(rng.random((6, 6, 6), dtype=np.float32), (1.0, 1.5, 2.0))
-    out = apply_transform(vol, IDENTITY, None)
+    out = warp(vol, IDENTITY)
     np.testing.assert_array_equal(out.data, vol.data)
 
 
@@ -80,7 +83,7 @@ def test_translation_is_a_backward_warp():
     data[10, 8, 8] = 1.0
     vol = Volume3D(data, (1, 1, 1))
     shift = AffineParams((0, 0, 0), (1, 1, 1), (2.0, 0.0, 0.0), (0,) * 6)
-    out = apply_transform(vol, shift, None)
+    out = warp(vol, shift)
     # output voxel x samples the input at x + 2, so the spike lands at 8
     assert out.data[8, 8, 8] == 1.0
     assert out.data.sum() == 1.0
@@ -91,38 +94,34 @@ def test_translation_respects_spacing():
     data[10, 8, 8] = 1.0
     vol = Volume3D(data, (2.0, 1.0, 1.0))
     shift = AffineParams((0, 0, 0), (1, 1, 1), (4.0, 0.0, 0.0), (0,) * 6)
-    out = apply_transform(vol, shift, None)
+    out = warp(vol, shift)
     assert out.data[8, 8, 8] == 1.0  # 4 mm = 2 voxels on this axis
 
 
 def test_scaling_is_about_the_volume_center(rng):
     vol = Volume3D(rng.random((9, 9, 9), dtype=np.float32), (1, 1, 1))
     grow = AffineParams((0, 0, 0), (1.25, 1.25, 1.25), (0, 0, 0), (0,) * 6)
-    out = apply_transform(vol, grow, None)
+    out = warp(vol, grow)
     assert out.data[4, 4, 4] == vol.data[4, 4, 4]
 
 
 def test_label_maps_warp_nearest_only(rng):
     lm = LabelMap(rng.integers(0, 8, (8, 8, 8), dtype=np.int32), (1, 1, 1), LabelScheme.FETA7)
-    out = apply_transform(lm, draw_affine(AffineRanges(translation_mm=2.0), rng), None)
+    disp = draw_svf_deformation(lm.dims, lm.spacing, SvfConfig(), np.random.default_rng(4))
+    out = warp(lm, draw_affine(AffineRanges(translation_mm=2.0), rng), disp)
     assert out.data.dtype == np.int32
     assert set(np.unique(out.data)) <= set(np.unique(lm.data)) | {0}
 
 
-def test_shared_coords_match_per_volume_warps(rng):
-    labels = LabelMap(rng.integers(0, 8, (12, 12, 12), dtype=np.int32), (1, 1, 1), LabelScheme.FETA7)
-    vol = Volume3D(rng.random((12, 12, 12), dtype=np.float32), (1, 1, 1))
-    affine = draw_affine(AffineRanges(), np.random.default_rng(3))
-    field = draw_svf_deformation(vol.dims, vol.spacing, SvfConfig(), np.random.default_rng(4))
-    coords = transform_coordinates(vol.dims, vol.spacing, affine, field)
-    np.testing.assert_array_equal(
-        apply_transform(vol, affine, field, coords=coords).data,
-        apply_transform(vol, affine, field).data,
-    )
-    np.testing.assert_array_equal(
-        apply_transform(labels, affine, field, coords=coords).data,
-        apply_transform(labels, affine, field).data,
-    )
+def test_displacement_moves_the_sampling_grid_in_mm():
+    # a uniform 3 mm shift along y on 1.5 mm voxels samples 2 voxels further on
+    dims, spacing = (5, 6, 7), (1.0, 1.5, 2.0)
+    disp = np.zeros(dims + (3,), np.float32)
+    disp[..., 1] = 3.0
+    coords = transform_coordinates(dims, spacing, None, disp)
+    ramp = transform_coordinates(dims, spacing, None, None)
+    np.testing.assert_array_equal(coords[1], ramp[1] + 2.0)
+    np.testing.assert_array_equal(coords[[0, 2]], ramp[[0, 2]])
 
 
 def test_transform_coordinates_identity_is_the_voxel_ramp():
@@ -134,9 +133,8 @@ def test_transform_coordinates_identity_is_the_voxel_ramp():
 
 
 def test_field_dims_must_match():
-    field = DeformationField(np.zeros((4, 4, 4, 3), np.float32))
-    with pytest.raises(InvalidRange):
-        transform_coordinates((5, 5, 5), (1, 1, 1), None, field)
+    with pytest.raises(InvalidRange, match=r"\(4, 4, 4, 3\).*\(5, 5, 5, 3\)"):
+        transform_coordinates((5, 5, 5), (1, 1, 1), None, np.zeros((4, 4, 4, 3), np.float32))
 
 
 # ---------------------------------------------------------------------------
@@ -168,7 +166,7 @@ def test_separable_linear_blocks_change_no_bit(monkeypatch, rng, dtype, out):
 def test_transform_coordinates_blocks_change_no_bit(monkeypatch, rng):
     dims, spacing = (23, 9, 11), (0.8, 1.0, 1.7)
     affine = draw_affine(AffineRanges(), rng)
-    field = DeformationField(rng.standard_normal(dims + (3,)).astype(np.float32))
+    field = rng.standard_normal(dims + (3,)).astype(np.float32)
     whole = transform_coordinates(dims, spacing, affine, field)
     for rows in (1, 2):
         monkeypatch.setattr(augment, "_LINEAR_BLOCK", rows * 9 * 11)
@@ -238,23 +236,26 @@ def test_zero_velocity_integrates_to_zero():
 
 def test_default_deformation_stays_small(rng):
     field = draw_svf_deformation((24, 24, 24), (1, 1, 1), SvfConfig(), rng)
-    mags = np.linalg.norm(field.disp_mm, axis=-1)
+    assert field.shape == (24, 24, 24, 3) and field.dtype == np.float32
+    assert field[..., 0].flags.c_contiguous  # transform_coordinates reads whole channels
+    mags = np.linalg.norm(field, axis=-1)
     assert 0.0 < mags.max() < 6.0
 
 
 def test_jacobian_of_zero_field_is_one():
-    field = DeformationField(np.zeros((8, 8, 8, 3), np.float32))
+    field = np.zeros((8, 8, 8, 3), np.float32)
     np.testing.assert_allclose(jacobian_determinant(field, (1, 1, 1)), 1.0, atol=0)
 
 
 def test_jacobian_of_linear_field_is_exact():
-    # u_i = a * x_i has constant gradient a, so det(I + J) = (1 + a)^3
+    # u_i = a * x_i has constant gradient a, so det(I + J) = (1 + a)^3; the
+    # field is in mm, and the gradient is taken in voxels
     a = 0.125
-    dims = (8, 8, 8)
+    dims, spacing = (8, 8, 8), (2.0, 0.5, 1.5)
     disp = np.empty(dims + (3,), dtype=np.float32)
     for i in range(3):
-        disp[..., i] = a * augment._axis_ramp(dims[i], i)
-    det = jacobian_determinant(DeformationField(disp), (1, 1, 1))
+        disp[..., i] = a * augment._axis_ramp(dims[i], i) * spacing[i]
+    det = jacobian_determinant(disp, spacing)
     np.testing.assert_allclose(det, (1 + a) ** 3, rtol=1e-6)
 
 

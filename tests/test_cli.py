@@ -4,6 +4,7 @@ import json
 import os
 import re
 import resource
+import struct
 import subprocess
 import sys
 import weakref
@@ -468,6 +469,46 @@ def test_non_finite_intensity_fails_the_sample(tmp_path, capsys, bad, workers):
     assert err == "error: NonFiniteIntensity: subject 'b' sample 1: intensity volume has 1 non-finite voxel(s) (NaN or inf)\n"
 
 
+def patch_header(path, offset, value):
+    """Overwrite one float32 field of a gzipped NIfTI header."""
+    blob = bytearray(gzip.decompress(path.read_bytes()))
+    struct.pack_into("<f", blob, offset, value)
+    path.write_bytes(gzip.compress(bytes(blob)))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_vox_offset_is_one_error_line(tmp_path, capsys, bad):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    for sid in ("a", "b"):
+        write_subject(in_dir, sid, dims=(8, 8, 8))
+    labels = in_dir / "b_labels.nii.gz"
+    patch_header(labels, 108, bad)  # vox_offset
+    msg = f"{labels}: vox_offset {bad} is not a byte offset past the header"
+    code, _, err = run(capsys, "epg", "--labels", str(labels), "--out", str(tmp_path / "e.nii.gz"))
+    assert code == 1 and err == f"error: FormatError: {msg}\n"
+    out = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(out), "--count", "2")
+    assert code == 1 and err == f"error: FormatError: subject 'b' sample 1: {msg}\n"
+    code, _, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(out), "--count", "2",
+                       "--skip-unreadable")
+    assert code == 0 and err.startswith("warning: subject 'b' unreadable") and err.count("\n") == 1
+    assert sorted(p.name for p in out.glob("*.json")) == ["a_s00000_seed0.json", "a_s00001_seed0.json"]
+
+
+@pytest.mark.parametrize("offset, value, what", [(280, np.nan, "affine"), (80, np.inf, "spacing")])
+def test_non_finite_geometry_names_the_file(tmp_path, capsys, offset, value, what):
+    # srow_x[0] NaN in both inputs, or pixdim[1] infinite in the labels only
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "b", dims=(8, 8, 8))
+    for kind in ("labels", "image") if what == "affine" else ("labels",):
+        patch_header(in_dir / f"b_{kind}.nii.gz", offset, value)
+    code, _, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(tmp_path / "out"))
+    assert code == 1 and err.count("\n") == 1
+    assert err.startswith(f"error: GeometryError: subject 'b' sample 0: {in_dir / 'b_labels.nii.gz'}: {what} must be")
+
+
 def test_replay_rejects_changed_inputs(tmp_path, capsys):
     in_dir = tmp_path / "in"
     in_dir.mkdir()
@@ -683,6 +724,16 @@ def test_interpolate_checks_every_alpha_before_writing(tmp_path, capsys):
     assert not out.exists() or not os.listdir(out)
 
 
+def test_interpolate_rejects_alphas_that_name_one_file(tmp_path, capsys):
+    # file names keep 6 significant digits, so these two would overwrite one file
+    pa, pb = write_pair_of_checkpoints(tmp_path)
+    out = tmp_path / "sw"
+    code, stdout, err = run(capsys, "interpolate", pa, pb, "--alphas", "0.1234561,0.1234564", "--out", str(out))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: ConfigError: --alphas: ") and err.count("\n") == 1
+    assert not out.exists()
+
+
 def test_interpolate_checks_the_layout_before_writing(tmp_path, capsys):
     pa, pb = tmp_path / "a.ckpt", tmp_path / "b.ckpt"
     write_checkpoint(Checkpoint({"w": np.zeros((3, 2), np.float32)}), pa)
@@ -752,6 +803,18 @@ def test_evaluate_names_the_failing_subject(tmp_path, capsys):
     code, out, err = run(capsys, "evaluate", "--manifest", str(man))
     assert code == 1 and out == ""
     assert err == "error: GeometryError: subject 'cropped': pred and gt must share dims, spacing, and affine\n"
+
+
+def test_evaluate_names_the_subject_and_file_it_cannot_read(tmp_path, capsys):
+    gt = LabelMap(np.ones((10, 10, 10), np.int32), (1, 1, 1), LabelScheme.FETA7)
+    write_nifti(gt, str(tmp_path / "gt.nii.gz"))
+    pred = tmp_path / "nine.nii.gz"
+    write_nifti(LabelMap(np.full((10, 10, 10), 9, np.int32), (1, 1, 1), LabelScheme.SUBCLASS), str(pred))
+    man = tmp_path / "pairs.tsv"
+    man.write_text("good\tgt.nii.gz\tgt.nii.gz\nbad\tnine.nii.gz\tgt.nii.gz\n")
+    code, out, err = run(capsys, "evaluate", "--manifest", str(man))
+    assert code == 1 and out == ""
+    assert err == f"error: UnknownLabel: subject 'bad': {pred}: label value 9 outside scheme feta7 (max 7)\n"
 
 
 def test_evaluate_missing_manifest(tmp_path, capsys):

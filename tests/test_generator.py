@@ -10,13 +10,12 @@ from drsynth.generator import (
     GenerationConfig,
     GeneratorMode,
     GmmParams,
-    build_generation_labels,
     generate_sample,
     partition_subclasses,
     render_intensities,
     sample_gmm_params,
 )
-from drsynth.labels import toy_label_map
+from drsynth.labels import build_meta_classes, split_meta_classes, toy_label_map
 from drsynth.volume import LabelMap, LabelScheme, Volume3D
 
 from conftest import make_subject, traced_peak
@@ -105,12 +104,17 @@ def test_render_intensities_requires_params(rng):
 
 
 def test_generation_labels_by_mode(subject):
+    # per-tissue mode clusters the tissue labels, the grouped modes their meta-classes
     labels, intensity = subject
-    per_tissue = build_generation_labels(labels, intensity, GeneratorMode.SYNTHSEG)
-    assert per_tissue is labels
-    grouped = build_generation_labels(labels, intensity, GeneratorMode.FETALSYNTHSEG)
-    assert grouped.scheme is LabelScheme.META4
-    assert set(np.unique(grouped.data)) <= {0, 1, 2, 3, 4}
+    meta = build_meta_classes(labels, intensity)
+    for mode, gen_labels in ((GeneratorMode.SYNTHSEG, labels), (GeneratorMode.FETALSYNTHSEG, meta)):
+        cfg = small_config(mode=mode)
+        got = partition_subclasses(labels, intensity, cfg, np.random.default_rng(0))
+        want = split_meta_classes(gen_labels, intensity, cfg.k_range, np.random.default_rng(0))
+        assert got.subclass_to_class == want.subclass_to_class
+        np.testing.assert_array_equal(got.subclass_map.data, want.subclass_map.data)
+    assert meta.scheme is LabelScheme.META4
+    assert set(got.k_by_class) <= {1, 2, 3, 4}
 
 
 def test_generate_sample_outputs(subject):

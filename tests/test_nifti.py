@@ -1,4 +1,5 @@
 import gzip
+import re
 import struct
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from drsynth.errors import (
     FormatError,
+    GeometryError,
     TruncatedFile,
     UnsupportedDatatype,
     UnsupportedShape,
@@ -28,6 +30,7 @@ OFF_SCL_INTER = 116
 OFF_QFORM_CODE = 252
 OFF_SFORM_CODE = 254
 OFF_QOFFSET = 268
+OFF_SROW_X = 280
 OFF_MAGIC = 344
 
 
@@ -197,6 +200,25 @@ def test_vox_offset_inside_header_rejected(tmp_path):
     patch(p, OFF_VOX_OFFSET, "f", 100.0)
     with pytest.raises(FormatError):
         read_nifti(p)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_vox_offset_is_a_format_error(tmp_path, bad):
+    p = tmp_path / "v.nii"
+    write_nifti(tricky_volume(), p)
+    patch(p, OFF_VOX_OFFSET, "f", bad)
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: vox_offset"):
+        read_nifti(p)
+
+
+@pytest.mark.parametrize("offset, value", [(OFF_SROW_X, np.nan), (OFF_PIXDIM + 4, np.inf)])
+@pytest.mark.parametrize("scheme", [None, LabelScheme.FETA7])
+def test_non_finite_geometry_fails_at_read_naming_the_file(tmp_path, offset, value, scheme):
+    p = tmp_path / "v.nii"
+    write_nifti(LabelMap(np.ones((3, 4, 5), np.int32), (1, 1, 1), LabelScheme.FETA7), p)
+    patch(p, offset, "f", value)  # srow_x[0], or pixdim[1]
+    with pytest.raises(GeometryError, match=f"^{re.escape(str(p))}: .*finite"):
+        read_nifti(p, scheme)
 
 
 def test_nonpositive_pixdim_defaults_to_unit(tmp_path):

@@ -35,6 +35,20 @@ def test_volume_rejects_bad_geometry():
         Volume3D(np.zeros((2, 2, 2)), (1.0, 1.0, 1.0), affine=np.zeros((4, 4)))
 
 
+@pytest.mark.parametrize("spacing, cell", [
+    ((np.inf, 1.0, 1.0), None), ((1.0, np.nan, 1.0), None), ((1.0, 1.0, 1.0), (0, 0)), ((1.0, 1.0, 1.0), (2, 3)),
+])
+def test_geometry_must_be_finite(spacing, cell):
+    # NaN compares false both ways, so each check must ask for a finite value
+    affine = np.eye(4)
+    if cell is not None:
+        affine[cell] = np.nan
+    with pytest.raises(GeometryError, match="finite"):
+        Volume3D(np.zeros((2, 2, 2)), spacing, affine)
+    with pytest.raises(GeometryError, match="finite"):
+        LabelMap(np.zeros((2, 2, 2), np.int32), spacing, LabelScheme.FETA7, affine)
+
+
 def test_labelmap_requires_integer_data():
     with pytest.raises(UnknownLabel):
         LabelMap(np.zeros((2, 2, 2), dtype=np.float32), (1, 1, 1), LabelScheme.FETA7)
