@@ -13,6 +13,7 @@ both source trees over one command matrix:
 * ``cluster-inspect`` in the fetalsynthseg and synthseg modes;
 * ``epg`` on the 32^3 subject's labels;
 * ``evaluate`` on shifted copies of both label maps;
+* ``interpolate`` of two seeded checkpoints over the default alpha sweep;
 * ``generate --config scripts/nondefault.ini --profile synthseg``
   (every key of that file differs from its default);
 * ``generate --config scripts/fabian.ini --mode fabian`` (reference
@@ -51,6 +52,7 @@ import numpy as np
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path[:0] = [os.path.join(ROOT, "src"), os.path.join(ROOT, "perfbench")]
 
+from drsynth.checkpoints import Checkpoint, write_checkpoint  # noqa: E402
 from drsynth.labels import LabelScheme  # noqa: E402
 from drsynth.nifti import read_nifti, write_nifti  # noqa: E402
 from subjects import write_subjects  # noqa: E402
@@ -67,7 +69,7 @@ CONFIG_TEXT = (
 
 
 def write_inputs(work: str) -> dict:
-    """The benchmark's seeded subjects on ``GRIDS``, plus rolled label maps to evaluate."""
+    """The benchmark's seeded subjects on ``GRIDS``, rolled label maps to evaluate, two checkpoints."""
     in_dir = os.path.join(work, "in")
     eval_dir = os.path.join(work, "eval")
     os.makedirs(eval_dir)
@@ -81,7 +83,12 @@ def write_inputs(work: str) -> dict:
     manifest = os.path.join(eval_dir, "manifest.tsv")
     with open(manifest, "w", encoding="utf-8") as fh:
         fh.writelines(rows)
-    return {"in": in_dir, "subjects": subjects, "manifest": manifest}
+    rng = np.random.default_rng(3)
+    checkpoints = [os.path.join(work, f"{name}.ckpt") for name in ("a", "b")]
+    for path in checkpoints:
+        tensors = {"conv.weight": rng.normal(size=(8, 4, 3, 3, 3)), "norm.mean": rng.normal(size=8)}
+        write_checkpoint(Checkpoint(tensors, {"source": os.path.basename(path)}), path)
+    return {"in": in_dir, "subjects": subjects, "manifest": manifest, "checkpoints": checkpoints}
 
 
 def commands(inputs: dict, out: str):
@@ -109,6 +116,8 @@ def commands(inputs: dict, out: str):
     yield d, [*cli, "epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
     d = os.path.join(out, "evaluate")
     yield d, [*cli, "evaluate", "--manifest", inputs["manifest"], "--out", os.path.join(d, "report.tsv")]
+    d = os.path.join(out, "interpolate")
+    yield d, [*cli, "interpolate", *inputs["checkpoints"], "--out", d]
     yield os.path.join(out, "config-default"), ["-c", CONFIG_TEXT]
     yield os.path.join(out, "config-nondefault"), ["-c", CONFIG_TEXT, NONDEFAULT_INI]
 

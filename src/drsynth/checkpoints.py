@@ -34,10 +34,9 @@ from .errors import (
     FormatError,
     IncompatibleCheckpoints,
     InvalidAlpha,
-    IoError,
     TruncatedFile,
 )
-from .fileio import atomic_write
+from .fileio import atomic_write, read_file
 
 MAGIC = b"WSOUP1\x00\x00"
 
@@ -57,11 +56,6 @@ class Checkpoint:
             clean[name] = np.asarray(arr, dtype=np.float32)
         self.tensors = clean
         self.metadata = {str(k): str(v) for k, v in self.metadata.items()}
-
-    def same_layout(self, other: "Checkpoint") -> bool:
-        if list(self.tensors) != list(other.tensors):
-            return False
-        return all(self.tensors[n].shape == other.tensors[n].shape for n in self.tensors)
 
 
 class _Cursor:
@@ -97,12 +91,7 @@ class _Cursor:
 
 def read_checkpoint(path) -> Checkpoint:
     """Parse a checkpoint file, validating magic, sizes, and name uniqueness."""
-    try:
-        with open(path, "rb") as fh:
-            blob = fh.read()
-    except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
-
+    blob = read_file(path)
     cur = _Cursor(blob, path)
     if cur.take(len(MAGIC)) != MAGIC:
         raise FormatError(f"{path}: bad magic, not a checkpoint file")
@@ -163,7 +152,7 @@ def check_alpha(alpha: float) -> float:
 
 def require_same_layout(a: Checkpoint, b: Checkpoint) -> None:
     """IncompatibleCheckpoints unless both share tensor names, order and shapes."""
-    if not a.same_layout(b):
+    if [(n, t.shape) for n, t in a.tensors.items()] != [(n, t.shape) for n, t in b.tensors.items()]:
         raise IncompatibleCheckpoints("checkpoints differ in tensor names, order, or shapes")
 
 

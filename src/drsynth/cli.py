@@ -23,6 +23,7 @@ import hashlib
 import json
 import os
 import platform
+import re
 import sys
 import time
 import zlib
@@ -42,7 +43,7 @@ from .checkpoints import (
 from .config import apply_sections, config_sections, load_config, read_sections
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError, prefixed
-from .fileio import atomic_write, read_file
+from .fileio import atomic_write, read_file, read_text
 from .generator import (
     PHYSICS_MODES,
     GenerationConfig,
@@ -118,18 +119,8 @@ def discover_subjects(in_dir: str, skip_unreadable: bool = False):
         raise IoError(f"input directory {in_dir!r} does not exist")
     stems: dict[str, dict[str, list[str]]] = {}
     for name in sorted(os.listdir(in_dir)):
-        base = name
-        for ext in (".nii.gz", ".nii"):
-            if base.endswith(ext):
-                base = base[: -len(ext)]
-                break
-        else:
-            continue
-        for kind in ("image", "labels"):
-            suffix = f"_{kind}"
-            if base.endswith(suffix):
-                sid = base[: -len(suffix)]
-                stems.setdefault(sid, {}).setdefault(kind, []).append(os.path.join(in_dir, name))
+        if m := re.fullmatch(r"(?s)(.*)_(image|labels)\.nii(?:\.gz)?", name):
+            stems.setdefault(m[1], {}).setdefault(m[2], []).append(os.path.join(in_dir, name))
     triples = []
     for sid in sorted(stems):
         files = stems[sid]
@@ -207,11 +198,10 @@ def _read_sidecar(path: str):
     Its shape is checked once: anything replay cannot use raises
     ConfigError naming the file and the key.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            sidecar = json.load(fh)
-        except ValueError as exc:
-            raise ConfigError(f"{path}: not a JSON sidecar ({exc})") from None
+    try:
+        sidecar = json.loads(read_file(path))  # undecodable bytes are a ValueError too
+    except ValueError as exc:
+        raise ConfigError(f"{path}: not a JSON sidecar ({exc})") from None
     found = sidecar.get("format") if isinstance(sidecar, dict) else None
     if found != SIDECAR_FORMAT:
         raise ConfigError(f"{path}: sidecar format {found!r}, expected {SIDECAR_FORMAT!r}")
@@ -437,12 +427,7 @@ def read_manifest(path: str):
     """
     root = os.path.dirname(os.path.abspath(path))
     triples = []
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.readlines()
-    except OSError as exc:
-        raise IoError(f"cannot read manifest {path}: {exc}") from exc
-    for lineno, line in enumerate(lines, 1):
+    for lineno, line in enumerate(read_text(path).split("\n"), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue

@@ -17,8 +17,8 @@ per class: ``reference_3 = t1lo:t1hi t2lo:t2hi pdlo:pdhi``.  Loading
 starts from the package defaults and overrides whatever keys are
 present; unknown sections or keys raise ConfigError.  ``config_sections``
 emits every effective value, defaults included, which generation writes
-into provenance sidecars.  One field table, ``_FIELDS``, drives parsing,
-formatting and the domain checks.
+into provenance sidecars.  One field table, ``_FIELDS``, drives parsing
+and the domain checks; ``_fmt`` writes each value by its type.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from dataclasses import dataclass, field, replace
 
 from .augment import AffineRanges, AugmentProfile, CorruptionConfig, ResolutionSim, SvfConfig
 from .epg import ReferenceInterval, RelaxometryRanges, SequenceRanges
-from .errors import ConfigError
+from .errors import ConfigError, FormatError, IoError
+from .fileio import read_text
 
 
 class GeneratorMode(enum.Enum):
@@ -193,63 +194,64 @@ def _check_interval(iv: ReferenceInterval, ctx: str) -> None:
         check(pair, ctx)
 
 
-def _fmt_pair(pair) -> str:
-    return "" if pair is None else f"{pair[0]!r}, {pair[1]!r}"
-
-
-def _fmt_optional(value) -> str:
-    return "" if value is None else str(value)
-
-
-def _fmt_interval(iv: ReferenceInterval) -> str:
-    return (
-        f"{iv.t1_ms[0]!r}:{iv.t1_ms[1]!r} "
-        f"{iv.t2_ms[0]!r}:{iv.t2_ms[1]!r} "
-        f"{iv.pd[0]!r}:{iv.pd[1]!r}"
-    )
+def _fmt(value) -> str:
+    """A value's INI text, chosen by its type (blank for None, "lo, hi" for a pair)."""
+    if value is None:
+        return ""
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, tuple):
+        return f"{_fmt(value[0])}, {_fmt(value[1])}"
+    if isinstance(value, ReferenceInterval):
+        return " ".join(f"{_fmt(lo)}:{_fmt(hi)}" for lo, hi in (value.t1_ms, value.t2_ms, value.pd))
+    if isinstance(value, numbers.Integral):
+        return str(int(value))
+    return repr(float(value))
 
 
 # One row per config key: (section, key, GenerationConfig attribute path,
-# parse(text, ctx), check(value, ctx), format(value)).  Row order
-# is the order keys are written and checked.  A key ending in "_" is a
+# parse(text, ctx), check(value, ctx)); ``_fmt`` writes every value.  Row
+# order is the order keys are written and checked.  A key ending in "_" is a
 # per-class family over a dict attribute: "reference_3" holds entry 3.
 # The one bound that spans keys (TE_eff within [esp, etl * esp]) is checked
 # by check_config after the rows.
 _FIELDS = (
-    ("synthgen", "mode", "mode", *_enum(GeneratorMode), lambda v: v.value),
-    ("synthgen", "profile", "profile", *_enum(AugmentProfile), lambda v: v.value),
-    ("synthgen", "mu", "mu_range", *_PAIR, _fmt_pair),
-    ("synthgen", "sigma", "sigma_range", *_NONNEG_PAIR, _fmt_pair),
-    ("synthgen", "subclasses", "k_range", *_K_RANGE, _fmt_pair),
-    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", *_optional(_K_RANGE), _fmt_pair),
-    ("synthgen", "master_seed", "master_seed", *_num(1, _int, lo=0), str),
-    ("augment", "rotation_rad", "affine.rotation_rad", *_NONNEG, repr),
-    ("augment", "scale_delta", "affine.scale_delta", *_num(lo=0, hi=1, hi_open=True), repr),
-    ("augment", "translation_mm", "affine.translation_mm", *_NONNEG, repr),
-    ("augment", "shear", "affine.shear", *_NONNEG, repr),
-    ("augment", "svf_control_points", "svf.control_points", *_num(1, _int, lo=1), str),
-    ("augment", "svf_sigma_vox", "svf.sigma_vox", *_NONNEG, repr),
-    ("augment", "svf_steps", "svf.integration_steps", *_num(1, _int, lo=0), str),
-    ("augment", "bias_control_points", "corruption.bias_control_points", *_num(1, _int, lo=1), str),
-    ("augment", "bias_log_sigma", "corruption.bias_log_sigma", *_NONNEG, repr),
-    ("augment", "gamma", "corruption.gamma_range", *_POS_PAIR, _fmt_pair),
-    ("augment", "noise_sigma", "corruption.noise_sigma_range", *_NONNEG_PAIR, _fmt_pair),
-    ("augment", "blur_sigma_mm", "corruption.blur_sigma_mm_range", *_NONNEG_PAIR, _fmt_pair),
-    ("augment", "simple_noise_sigma", "corruption.simple_noise_sigma", *_NONNEG, repr),
-    ("augment", "op_probability", "corruption.op_probability", *_num(lo=0, hi=1), repr),
-    ("augment", "inplane_mm", "resolution.inplane_range_mm", *_POS_PAIR, _fmt_pair),
-    ("augment", "thickness_mm", "resolution.thickness_range_mm", *_POS_PAIR, _fmt_pair),
-    ("augment", "slice_axis", "resolution.slice_axis", *_optional(_num(1, _int, lo=0, hi=2)), _fmt_optional),
-    ("epg", "esp_ms", "sequence.esp_ms", *_num(lo=0, lo_open=True), repr),
-    ("epg", "etl", "sequence.etl", *_num(1, _int, lo=1), str),
-    ("epg", "excitation_deg", "sequence.excitation_deg", *_num(), repr),
-    ("epg", "refocus_deg", "sequence.refocus_range_deg", *_NONNEG_PAIR, _fmt_pair),
-    ("epg", "te_eff_ms", "sequence.te_eff_range_ms", *_POS_PAIR, _fmt_pair),
-    ("epg", "voxelwise", "epg_voxelwise", _bool, _instance(bool), lambda v: "true" if v else "false"),
-    ("epg", "t1_ms", "relaxometry.t1_range_ms", *_POS_PAIR, _fmt_pair),
-    ("epg", "t2_ms", "relaxometry.t2_range_ms", *_POS_PAIR, _fmt_pair),
-    ("epg", "pd", "relaxometry.pd_range", *_NONNEG_PAIR, _fmt_pair),
-    ("epg", "reference_", "relaxometry.reference", _parse_interval, _check_interval, _fmt_interval),
+    ("synthgen", "mode", "mode", *_enum(GeneratorMode)),
+    ("synthgen", "profile", "profile", *_enum(AugmentProfile)),
+    ("synthgen", "mu", "mu_range", *_PAIR),
+    ("synthgen", "sigma", "sigma_range", *_NONNEG_PAIR),
+    ("synthgen", "subclasses", "k_range", *_K_RANGE),
+    ("synthgen", "nonbrain_subclasses", "nonbrain_k_range", *_optional(_K_RANGE)),
+    ("synthgen", "master_seed", "master_seed", *_num(1, _int, lo=0)),
+    ("augment", "rotation_rad", "affine.rotation_rad", *_NONNEG),
+    ("augment", "scale_delta", "affine.scale_delta", *_num(lo=0, hi=1, hi_open=True)),
+    ("augment", "translation_mm", "affine.translation_mm", *_NONNEG),
+    ("augment", "shear", "affine.shear", *_NONNEG),
+    ("augment", "svf_control_points", "svf.control_points", *_num(1, _int, lo=1)),
+    ("augment", "svf_sigma_vox", "svf.sigma_vox", *_NONNEG),
+    ("augment", "svf_steps", "svf.integration_steps", *_num(1, _int, lo=0)),
+    ("augment", "bias_control_points", "corruption.bias_control_points", *_num(1, _int, lo=1)),
+    ("augment", "bias_log_sigma", "corruption.bias_log_sigma", *_NONNEG),
+    ("augment", "gamma", "corruption.gamma_range", *_POS_PAIR),
+    ("augment", "noise_sigma", "corruption.noise_sigma_range", *_NONNEG_PAIR),
+    ("augment", "blur_sigma_mm", "corruption.blur_sigma_mm_range", *_NONNEG_PAIR),
+    ("augment", "simple_noise_sigma", "corruption.simple_noise_sigma", *_NONNEG),
+    ("augment", "op_probability", "corruption.op_probability", *_num(lo=0, hi=1)),
+    ("augment", "inplane_mm", "resolution.inplane_range_mm", *_POS_PAIR),
+    ("augment", "thickness_mm", "resolution.thickness_range_mm", *_POS_PAIR),
+    ("augment", "slice_axis", "resolution.slice_axis", *_optional(_num(1, _int, lo=0, hi=2))),
+    ("epg", "esp_ms", "sequence.esp_ms", *_num(lo=0, lo_open=True)),
+    ("epg", "etl", "sequence.etl", *_num(1, _int, lo=1)),
+    ("epg", "excitation_deg", "sequence.excitation_deg", *_num()),
+    ("epg", "refocus_deg", "sequence.refocus_range_deg", *_NONNEG_PAIR),
+    ("epg", "te_eff_ms", "sequence.te_eff_range_ms", *_POS_PAIR),
+    ("epg", "voxelwise", "epg_voxelwise", _bool, _instance(bool)),
+    ("epg", "t1_ms", "relaxometry.t1_range_ms", *_POS_PAIR),
+    ("epg", "t2_ms", "relaxometry.t2_range_ms", *_POS_PAIR),
+    ("epg", "pd", "relaxometry.pd_range", *_NONNEG_PAIR),
+    ("epg", "reference_", "relaxometry.reference", _parse_interval, _check_interval),
 )
 
 _KNOWN_KEYS = {sec: {key for s, key, *_ in _FIELDS if s == sec} for sec, *_ in _FIELDS}
@@ -263,7 +265,7 @@ def _get(obj, path: str):
 
 def check_config(cfg: GenerationConfig) -> None:
     """Raise ConfigError ("<section>.<key>: ...") for the first value outside its domain."""
-    for section, key, path, _, check, _ in _FIELDS:
+    for section, key, path, _, check in _FIELDS:
         value = _get(cfg, path)
         members = sorted(value.items()) if key.endswith("_") else [("", value)]
         for suffix, v in members:
@@ -272,20 +274,20 @@ def check_config(cfg: GenerationConfig) -> None:
     if not seq.esp_ms <= seq.te_eff_range_ms[0] <= seq.te_eff_range_ms[1] <= seq.etl * seq.esp_ms:
         raise ConfigError(
             f"epg.te_eff_ms: must lie within [epg.esp_ms, epg.etl * epg.esp_ms] = "
-            f"[{seq.esp_ms!r}, {seq.etl * seq.esp_ms!r}] ms, got {_fmt_pair(seq.te_eff_range_ms)}"
+            f"[{seq.esp_ms!r}, {seq.etl * seq.esp_ms!r}] ms, got {_fmt(seq.te_eff_range_ms)}"
         )
 
 
 def config_sections(cfg: GenerationConfig) -> dict[str, dict[str, str]]:
     """Every effective value as section -> key -> string, defaults included."""
     out: dict[str, dict[str, str]] = {}
-    for section, key, path, _, _, fmt in _FIELDS:
+    for section, key, path, _, _ in _FIELDS:
         kv = out.setdefault(section, {})
         value = _get(cfg, path)
         if key.endswith("_"):
-            kv.update((f"{key}{cid}", fmt(v)) for cid, v in sorted(value.items()))
+            kv.update((f"{key}{cid}", _fmt(v)) for cid, v in sorted(value.items()))
         else:
-            kv[key] = fmt(value)
+            kv[key] = _fmt(value)
     return out
 
 
@@ -312,7 +314,7 @@ def apply_sections(cfg: GenerationConfig, sections: dict[str, dict[str, str]]) -
             if key not in _KNOWN_KEYS[name] and _family(key) not in _KNOWN_KEYS[name]:
                 raise ConfigError(f"unknown key {key!r} in section [{name}]")
     changes: dict[str, dict] = {}  # owner path ("" for cfg itself) -> attribute -> value
-    for section, key, path, parse, _, _ in _FIELDS:
+    for section, key, path, parse, _ in _FIELDS:
         kv = sections.get(section, {})
         owner, _, attr = path.rpartition(".")
         if key.endswith("_"):
@@ -331,10 +333,9 @@ def read_sections(path) -> dict[str, dict[str, str]]:
     """An INI file as section -> key -> value text (ConfigError if unreadable)."""
     cp = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            cp.read_file(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        cp.read_string(read_text(path), source=str(path))
+    except (IoError, FormatError) as exc:  # each names the file
+        raise ConfigError(f"cannot read config: {exc}") from exc
     except configparser.Error as exc:
         raise ConfigError(f"cannot parse config {path}: {exc}") from exc
     return {name: dict(cp.items(name)) for name in cp.sections()}

@@ -5,7 +5,7 @@ from __future__ import annotations
 import contextlib
 import os
 
-from .errors import IoError
+from .errors import FormatError, IoError
 
 
 def read_file(path) -> bytes:
@@ -14,7 +14,16 @@ def read_file(path) -> bytes:
         with open(path, "rb") as fh:
             return fh.read()
     except OSError as exc:
-        raise IoError(f"cannot read {path}: {exc}") from exc
+        raise IoError(f"cannot read {path}: {exc.strerror or exc}") from exc
+
+
+def read_text(path) -> str:
+    """A file's UTF-8 text with universal newlines; non-UTF-8 bytes are a FormatError naming it."""
+    try:
+        text = read_file(path).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise FormatError(f"{path}: not UTF-8 text ({exc})") from None
+    return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
 def atomic_write(path, data: bytes | str | list) -> None:

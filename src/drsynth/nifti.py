@@ -3,7 +3,8 @@
 Covers exactly what the pipeline needs: single-file ``.nii`` (magic
 ``n+1``) plus the header-pair variant (``ni1`` with a sibling ``.img``),
 optional gzip on either, the five scalar datatypes uint8/int16/int32/
-float32/float64, ``scl_slope``/``scl_inter`` scaling, and the sform
+float32/float64, ``scl_slope``/``scl_inter`` scaling (a zero or
+non-finite slope means unscaled data, as NIfTI-1 says), and the sform
 (fallback qform, fallback diagonal-spacing) affine.  NIfTI-2, DICOM,
 time series (nt > 1), and memory mapping are out of scope.
 
@@ -181,39 +182,31 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
                 data = data.astype(np.int32)
             return LabelMap(data.astype(np.int32), spacing, scheme, affine)
 
-        slope = float(hdr["scl_slope"])
-        inter = float(hdr["scl_inter"])
+        slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
         out = data
-        if (slope not in (0.0, 1.0)) or inter != 0.0:
-            eff = slope if slope != 0.0 else 1.0
-            out = data.astype(np.float64) * eff + inter
+        if slope != 0.0 and np.isfinite(slope):  # NIfTI-1: a zero or non-finite slope leaves data unscaled
+            if not np.isfinite(inter):
+                raise FormatError(f"scl_inter {inter} is not finite (scl_slope {slope})")
+            if (slope, inter) != (1.0, 0.0):
+                out = data.astype(np.float64) * slope + inter
         return Volume3D(np.asarray(out, dtype=np.float32), spacing, affine)
 
 
 def _pack_header(shape, spacing, affine, code, bitpix) -> bytes:
-    dim = [3, shape[0], shape[1], shape[2], 1, 1, 1, 1]
-    pixdim = [1.0, spacing[0], spacing[1], spacing[2], 0.0, 0.0, 0.0, 0.0]
-    return struct.pack(
-        _STRUCT,
-        HEADER_SIZE,
-        b"", b"", 0, 0, b"r", b"\x00",
-        *dim,
-        0.0, 0.0, 0.0,
-        0,
-        code, bitpix, 0,
-        *pixdim,
-        352.0, 1.0, 0.0,
-        0, 0, 2,  # slice_end, slice_code, xyzt_units = mm
-        0.0, 0.0, 0.0, 0.0, 0, 0,
-        b"drsynth", b"",
-        0, 1,  # qform off, sform on
-        0.0, 0.0, 0.0,
-        0.0, 0.0, 0.0,
-        *(float(v) for v in affine[0, :]),
-        *(float(v) for v in affine[1, :]),
-        *(float(v) for v in affine[2, :]),
-        b"", b"n+1\x00",
+    """The header with the fields named here set, every other one zero or empty."""
+    zero = {"s": b"", "c": b"\x00"}  # a string packs NUL-padded, a char as NUL, a number as 0
+    hdr = {name: zero.get(c, 0) if c == "s" or n == 1 else (0,) * n for name, c, n in _HEADER}
+    hdr.update(
+        sizeof_hdr=HEADER_SIZE, regular=b"r", dim=(3, *shape, 1, 1, 1, 1), datatype=code, bitpix=bitpix,
+        pixdim=(1.0, *spacing, 0.0, 0.0, 0.0, 0.0), vox_offset=352.0, scl_slope=1.0,
+        xyzt_units=2,  # mm
+        descrip=b"drsynth", sform_code=1,  # qform off, sform on
+        srow_x=affine[0], srow_y=affine[1], srow_z=affine[2], magic=b"n+1\x00",
     )
+    values = []
+    for name, c, n in _HEADER:
+        values.extend(hdr[name] if c != "s" and n > 1 else [hdr[name]])
+    return struct.pack(_STRUCT, *values)
 
 
 def write_nifti(vol, path) -> None:

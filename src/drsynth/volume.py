@@ -116,17 +116,13 @@ class LabelMap:
         return LabelMap(data, self.spacing, self.scheme, self.affine)
 
 
-def same_grid(a, b) -> bool:
-    """True when two containers share dims, and spacing and affine to 1e-5."""
-    return (
+def require_same_grid(a, b, what: str = "inputs"):
+    """GeometryError unless two containers share dims, and spacing and affine to 1e-5."""
+    if not (
         a.dims == b.dims
         and np.allclose(a.spacing, b.spacing, atol=1e-5)
         and np.allclose(a.affine, b.affine, atol=1e-5)
-    )
-
-
-def require_same_grid(a, b, what: str = "inputs"):
-    if not same_grid(a, b):
+    ):
         raise GeometryError(f"{what} must share dims, spacing, and affine")
 
 

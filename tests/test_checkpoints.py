@@ -11,6 +11,7 @@ from drsynth.checkpoints import (
     Checkpoint,
     interpolate,
     read_checkpoint,
+    require_same_layout,
     write_checkpoint,
 )
 from drsynth.errors import (
@@ -178,12 +179,15 @@ def test_layout_mismatches_rejected():
         Checkpoint({"w": np.zeros((2, 3), np.float32)}),  # shape
         Checkpoint({"w": np.zeros((2, 2), np.float32), "x": np.zeros(1, np.float32)}),
     ):
-        assert not a.same_layout(other)
+        with pytest.raises(IncompatibleCheckpoints):
+            require_same_layout(a, other)
         with pytest.raises(IncompatibleCheckpoints):
             interpolate(a, other, 0.5)
     reordered_a = Checkpoint({"x": np.zeros(1, np.float32), "w": np.zeros(2, np.float32)})
     reordered_b = Checkpoint({"w": np.zeros(2, np.float32), "x": np.zeros(1, np.float32)})
-    assert not reordered_a.same_layout(reordered_b)
+    with pytest.raises(IncompatibleCheckpoints):
+        require_same_layout(reordered_a, reordered_b)
+    require_same_layout(a, Checkpoint({"w": np.ones((2, 2), np.float32)}))
 
 
 def test_metadata_records_sources_and_alpha():

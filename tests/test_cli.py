@@ -107,6 +107,26 @@ def test_discover_requires_directory(tmp_path):
         discover_subjects(str(tmp_path / "missing"))
 
 
+@pytest.mark.parametrize(
+    "name, sid",
+    [
+        ("a_labels_image.nii", "a_labels"),
+        ("_image.nii", ""),
+        ("a\nb_labels.nii.gz", "a\nb"),
+        ("x_image.nii.gz.nii", None),
+        ("x_IMAGE.nii", None),
+        ("x_image.nii.GZ", None),
+    ],
+)
+def test_discover_odd_file_names(tmp_path, name, sid):
+    (tmp_path / name).write_bytes(b"")
+    if sid is None:
+        assert discover_subjects(str(tmp_path)) == []
+    else:
+        with pytest.raises(IoError, match=re.escape(f"subject {sid!r}: missing _")):
+            discover_subjects(str(tmp_path))
+
+
 def test_discover_accepts_plain_nii(tmp_path):
     img, lab = write_subject(tmp_path, "sub", dims=(8, 8, 8))
     # re-write uncompressed variants under a second subject id
@@ -306,6 +326,12 @@ def test_sidecar_rerenders_bit_exactly(tmp_path, capsys):
     assert pair.labels.data.tobytes() == labels.data.tobytes()
 
 
+def test_replay_of_a_missing_sidecar_is_an_io_error(tmp_path):
+    p = tmp_path / "absent.json"
+    with pytest.raises(IoError, match=re.escape(f"cannot read {p}: ")):
+        render_from_sidecar(str(p))
+
+
 def test_sidecar_format_is_checked(tmp_path):
     p = tmp_path / "bogus.json"
     p.write_text(json.dumps({"format": "something-else"}))
@@ -345,6 +371,22 @@ def test_negative_seed_is_config_error(tmp_path, capsys, cmd):
     code, _, err = run(capsys, cmd, *argv)
     assert code == 1
     assert err.startswith("error: ConfigError: ") and err.count("\n") == 1
+    assert not list(tmp_path.glob("out*"))
+
+
+@pytest.mark.parametrize("cmd", ["generate", "epg"])
+def test_config_that_is_not_utf8_is_one_error_line(tmp_path, capsys, cmd):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(12, 12, 12))
+    cfg = tmp_path / "latin1.ini"
+    cfg.write_bytes(b"[synthgen]\nmaster_seed = 7  # caf\xe9\n")
+    out = str(tmp_path / "out")
+    argv = ["--in", str(in_dir), "--out", out] if cmd == "generate" else ["--out", out]
+    code, _, err = run(capsys, cmd, "--config", str(cfg), *argv)
+    assert code == 1
+    assert err.startswith(f"error: ConfigError: cannot read config: {cfg}: not UTF-8 text (")
+    assert err.count("\n") == 1
     assert not list(tmp_path.glob("out*"))
 
 
@@ -764,6 +806,20 @@ def test_read_manifest_formats(tmp_path):
     man.write_text("s1\tonly_two_fields\n")
     with pytest.raises(Exception):
         read_manifest(str(man))
+
+
+def test_read_manifest_splits_universal_newlines_only(tmp_path):
+    man = tmp_path / "pairs.tsv"
+    man.write_bytes(b"s1\tp1\tg1\r\ns2\tp2\tg2\rs\x0c3\tp3\tg3\r\n\r\n# done\r")
+    assert [t[0] for t in read_manifest(str(man))] == ["s1", "s2", "s\x0c3"]
+
+
+def test_evaluate_rejects_a_manifest_that_is_not_utf8(tmp_path, capsys):
+    man = tmp_path / "pairs.tsv"
+    man.write_bytes(b"caf\xe9\tgt.nii.gz\tgt.nii.gz\n")
+    code, out, err = run(capsys, "evaluate", "--manifest", str(man))
+    assert code == 1 and out == ""
+    assert err.startswith(f"error: FormatError: {man}: not UTF-8 text (") and err.count("\n") == 1
 
 
 def test_evaluate_end_to_end(tmp_path, capsys):

@@ -2,9 +2,10 @@ import re
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from drsynth.augment import AugmentProfile, ResolutionSim
+from drsynth.augment import AffineRanges, AugmentProfile, ResolutionSim
 from drsynth.config import (
     _FIELDS,
     apply_sections,
@@ -182,7 +183,7 @@ TYPE_ONLY = {"mode", "profile", "voxelwise"}
 
 
 def test_domains_cover_every_checked_key():
-    checked = {key + "1" * key.endswith("_") for _, key, _, _, check, _ in _FIELDS if check is not None}
+    checked = {key + "1" * key.endswith("_") for _, key, _, _, check in _FIELDS if check is not None}
     assert checked == {row[1] for row in DOMAINS} | TYPE_ONLY
 
 
@@ -264,6 +265,31 @@ def test_reference_interval_with_a_missing_side_names_its_syntax(tmp_path):
 def test_missing_file_is_config_error(tmp_path):
     with pytest.raises(ConfigError):
         load_config(tmp_path / "absent.ini")
+
+
+def test_unreadable_config_names_the_path_once(tmp_path):
+    p = tmp_path / "absent.ini"
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config: cannot read {p}: ")) as info:
+        load_config(p)
+    assert str(info.value).count(str(p)) == 1
+    p.write_bytes(b"[synthgen]\nmaster_seed = 7  # caf\xe9\n")
+    with pytest.raises(ConfigError, match=re.escape(f"cannot read config: {p}: not UTF-8 text (")):
+        load_config(p)
+
+
+def test_numpy_scalars_round_trip():
+    cfg = GenerationConfig(
+        mu_range=(np.float64(1), np.float64(200)),
+        k_range=(np.int64(2), np.int64(5)),
+        master_seed=np.int64(3),
+        affine=AffineRanges(rotation_rad=np.float32(0.25)),
+    )
+    sections = config_sections(cfg)
+    assert sections["synthgen"]["mu"] == "1.0, 200.0"
+    assert sections["synthgen"]["subclasses"] == "2, 5"
+    assert sections["synthgen"]["master_seed"] == "3"
+    assert sections["augment"]["rotation_rad"] == "0.25"
+    assert apply_sections(GenerationConfig(), sections) == cfg
 
 
 def test_inline_comments_and_blank_optionals(tmp_path):

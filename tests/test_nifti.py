@@ -154,6 +154,26 @@ def test_scl_slope_zero_means_no_scaling(tmp_path):
     assert read_nifti(p).data.tobytes() == vol.data.tobytes()
 
 
+@pytest.mark.parametrize("slope", [0.0, np.nan, np.inf, -np.inf])
+def test_unusable_scl_slope_means_no_scaling(tmp_path, slope):
+    # NIfTI-1: a zero or non-finite slope leaves the data unscaled, intercept included
+    vol = tricky_volume()
+    p = tmp_path / "v.nii"
+    write_nifti(vol, p)
+    patch(p, OFF_SCL_SLOPE, "ff", slope, 5.0)
+    assert read_nifti(p).data.tobytes() == vol.data.tobytes()
+
+
+@pytest.mark.parametrize("inter", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("slope", [1.0, 2.0])
+def test_non_finite_scl_inter_is_a_format_error(tmp_path, slope, inter):
+    p = tmp_path / "v.nii"
+    write_nifti(tricky_volume(), p)
+    patch(p, OFF_SCL_SLOPE, "ff", slope, inter)
+    with pytest.raises(FormatError, match=re.escape(f"{p}: scl_inter {inter} is not finite")):
+        read_nifti(p)
+
+
 def test_bad_magic_rejected(tmp_path):
     p = tmp_path / "v.nii"
     write_nifti(tricky_volume(), p)

@@ -10,7 +10,7 @@ from drsynth.volume import (
     LabelMap,
     LabelScheme,
     Volume3D,
-    same_grid,
+    require_same_grid,
     sample_at_voxels,
 )
 
@@ -80,12 +80,16 @@ def test_container_takes_ownership_of_array():
 
 def test_same_grid_checks_all_three():
     a = Volume3D(np.zeros((2, 2, 2)), (1, 1, 1))
-    assert same_grid(a, a)
-    assert not same_grid(a, Volume3D(np.zeros((2, 2, 3)), (1, 1, 1)))
-    assert not same_grid(a, Volume3D(np.zeros((2, 2, 2)), (1, 1, 2)))
+    require_same_grid(a, a)
     shifted = np.eye(4)
     shifted[0, 3] = 5.0
-    assert not same_grid(a, Volume3D(np.zeros((2, 2, 2)), (1, 1, 1), affine=shifted))
+    for other in (
+        Volume3D(np.zeros((2, 2, 3)), (1, 1, 1)),
+        Volume3D(np.zeros((2, 2, 2)), (1, 1, 2)),
+        Volume3D(np.zeros((2, 2, 2)), (1, 1, 1), affine=shifted),
+    ):
+        with pytest.raises(GeometryError, match="a and b must share dims, spacing, and affine"):
+            require_same_grid(a, other, "a and b")
 
 
 def test_sample_at_voxels_matches_brute_force(rng):
