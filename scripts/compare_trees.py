@@ -18,6 +18,9 @@ both source trees over one command matrix:
   (every key of that file differs from its default);
 * ``generate --config scripts/fabian.ini --mode fabian`` (reference
   relaxometry for every meta class);
+* ``generate`` and ``cluster-inspect`` with ``--config
+  scripts/wide_ids.ini --mode synthseg`` (40 subclasses per tissue class,
+  so subclass ids pass 255 and the subclass map takes 16 bits);
 * ``config_text(GenerationConfig())`` and
   ``config_text(load_config("scripts/nondefault.ini"))``.
 
@@ -60,6 +63,7 @@ from subjects import write_subjects  # noqa: E402
 GRIDS = [[[48, 40, 36], [1.0, 1.0, 1.0]], [[32, 32, 32], [1.0, 1.0, 1.0]]]
 NONDEFAULT_INI = os.path.join(ROOT, "scripts", "nondefault.ini")
 FABIAN_INI = os.path.join(ROOT, "scripts", "fabian.ini")
+WIDE_IDS_INI = os.path.join(ROOT, "scripts", "wide_ids.ini")
 # config_text of the INI file named by the first argument, or of the defaults
 CONFIG_TEXT = (
     "import sys; from drsynth.config import config_text, load_config; "
@@ -108,10 +112,17 @@ def commands(inputs: dict, out: str):
     d = os.path.join(out, "generate-fabian")
     yield d, [*cli, "generate", "--config", FABIAN_INI, "--mode", "fabian", "--in", in_dir, "--out", d,
               "--count", "4"]
-    for mode in ("fetalsynthseg", "synthseg"):
-        d = os.path.join(out, f"cluster-inspect-{mode}")
-        yield d, [*cli, "cluster-inspect", "--image", a.image_path, "--labels", a.labels_path, "--mode", mode,
-                  "--out-prefix", os.path.join(d, a.sid)]
+    d = os.path.join(out, "generate-wide-ids")
+    yield d, [*cli, "generate", "--config", WIDE_IDS_INI, "--mode", "synthseg", "--in", in_dir, "--out", d,
+              "--count", "4"]
+    for name, config, mode in (
+        ("fetalsynthseg", [], "fetalsynthseg"),
+        ("synthseg", [], "synthseg"),
+        ("wide-ids", ["--config", WIDE_IDS_INI], "synthseg"),
+    ):
+        d = os.path.join(out, f"cluster-inspect-{name}")
+        yield d, [*cli, "cluster-inspect", *config, "--image", a.image_path, "--labels", a.labels_path,
+                  "--mode", mode, "--out-prefix", os.path.join(d, a.sid)]
     d = os.path.join(out, "epg")
     yield d, [*cli, "epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
     d = os.path.join(out, "evaluate")

@@ -21,6 +21,7 @@ draws happen in a fixed order, so a stage is reproducible from its stream.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -121,16 +122,17 @@ def _axis_ramp(n: int, axis: int) -> np.ndarray:
 _LINEAR_BLOCK = 1 << 16
 
 
-def _separable_linear(arr: np.ndarray, positions, dtype=None) -> np.ndarray:
+def _separable_linear(arr: np.ndarray, positions, dtype=None, out=None) -> np.ndarray:
     """Linearly resample the three leading axes of ``arr``, one axis at a time.
 
     ``positions[i]`` holds fractional source coordinates along axis i,
     edge-clamped.  Because trilinear interpolation factorizes over axes this
     equals dense trilinear sampling on the tensor-product grid, at a fraction
     of the gather traffic.  The arithmetic runs in ``arr``'s dtype and the
-    result is cast to ``dtype`` (default: the same).  It is filled a block
-    of leading-axis rows at a time; every operation is elementwise, so the
-    blocks change no bit, and no full-size scratch is made.
+    result is cast to ``dtype`` (default: the same), or written into ``out``.
+    It is filled a block of leading-axis rows at a time; every operation is
+    elementwise, so the blocks change no bit, and no full-size scratch is
+    made.
     """
     taps = []
     for pos, n_in in zip(positions, arr.shape):
@@ -139,7 +141,8 @@ def _separable_linear(arr: np.ndarray, positions, dtype=None) -> np.ndarray:
         # two-weight form: exact at integer positions, unlike lo + (hi-lo)*f
         w1 = (pos - i0).astype(arr.dtype)
         taps.append((i0, np.minimum(i0 + 1, n_in - 1), 1.0 - w1, w1))
-    out = np.empty(tuple(len(t[0]) for t in taps) + arr.shape[3:], dtype=dtype or arr.dtype)
+    if out is None:
+        out = np.empty(tuple(len(t[0]) for t in taps) + arr.shape[3:], dtype=dtype or arr.dtype)
     rows = max(1, _LINEAR_BLOCK // max(out[0].size, 1))
     for a in range(0, out.shape[0], rows):
         block = arr
@@ -158,11 +161,12 @@ def _separable_linear(arr: np.ndarray, positions, dtype=None) -> np.ndarray:
     return out
 
 
-def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
+def upsample_control_grid(ctrl: np.ndarray, dims, out=None) -> np.ndarray:
     """Trilinearly upsample a coarse control grid to full resolution.
 
     Control points are corner-aligned: point 0 sits on voxel 0 and the last
-    point on the last voxel of each axis.
+    point on the last voxel of each axis.  ``out``, when given, receives the
+    float32 result (of shape ``dims`` plus the control grid's trailing axes).
     """
     dims = tuple(int(d) for d in dims)
     c = ctrl.shape[:3]
@@ -170,7 +174,7 @@ def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
         np.linspace(0.0, c[i] - 1.0, dims[i]) if dims[i] > 1 else np.zeros(1)
         for i in range(3)
     ]
-    return _separable_linear(np.asarray(ctrl, dtype=np.float32), positions)
+    return _separable_linear(np.asarray(ctrl, dtype=np.float32), positions, out=out)
 
 
 # Voxels per slab of whole x-planes in integrate_velocity.  Its scratch
@@ -180,24 +184,48 @@ def upsample_control_grid(ctrl: np.ndarray, dims) -> np.ndarray:
 _SLAB_VOXELS = 1 << 15
 
 
-def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
+def _write_back(disp, ring, rows, held, start, stop) -> None:
+    """Copy x-planes [start, stop) from their ring slots into ``disp``."""
+    while start < stop:
+        k, off = divmod(start, rows)
+        end = min(stop, (k + 1) * rows)
+        slot = (k % held) * rows + off
+        disp[:, start:end] = ring[:, slot : slot + end - start]
+        start = end
+
+
+def integrate_velocity(vel_vox: np.ndarray, steps: int = 7, out=None) -> np.ndarray:
     """Integrate a stationary velocity field by scaling and squaring.
 
     The field is divided by 2**steps and composed with itself ``steps``
     times: u <- u + u(x + u), with edge-clamped trilinear sampling of u.
     Input and output are (nx, ny, nz, 3) in voxel units; the output is a
-    channel-last view of channel-first storage.  The sampler is hand-fused:
-    the three channels share one base index and one set of lerp weights.
+    channel-last view of channel-first storage.  ``out``, when given, must
+    be such a float32 view of C-ordered (3, nx, ny, nz) storage; it may be
+    ``vel_vox`` itself, which is then integrated where it lies.  The sampler
+    is hand-fused: the three channels share one base index and one set of
+    lerp weights.
 
     Each squaring step runs over slabs of whole x-planes (about
     ``_SLAB_VOXELS`` voxels) rather than the whole volume.  The
     gather-and-lerp chain is memory-bound: whole-volume index and lerp
     scratch (about 150 MiB at 128^3) streams through main memory once per
-    operation, while slab-sized scratch stays in cache.  Gathers read the
-    whole previous-step field and every float32 operation is elementwise
-    and in the same order as a whole-volume pass (z-lerps, then y, then
-    x), so the result matches that pass bit for bit, whatever the slab
-    size.
+    operation, while slab-sized scratch stays in cache.  Every float32
+    operation is elementwise and in the same order as a whole-volume pass
+    (z-lerps, then y, then x), so the result matches that pass bit for
+    bit, whatever the slab size.
+
+    The step squares in the one field buffer.  A slab's gathers read the
+    previous-step field, and a later slab reads no x-plane more than
+    ``lag = ceil(max|u_x|) + 1`` planes below its own first plane (the
+    clamp to n - 2 accounts for the 1).  So each slab's new values wait in
+    a ring of whole slabs and are written back once they lie ``lag``
+    planes behind the next slab; the ring holds ceil(lag / rows) + 1
+    slabs.  ``max|u_x|`` is measured once per step; when it is not finite
+    (a NaN or inf in the field) the ring holds every slab and the step
+    writes back at its end.  At once the kernel holds the field, the ring
+    and the slab scratch: one field plus about 3 MiB at 128^3 with the
+    default deformation.
 
     The floor, the clamp to n - 2 and the fraction are taken in float32,
     exactly: a clipped coordinate c lies in [0, n - 1], so floor(c) is a
@@ -207,20 +235,18 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
     integer indices with a float64 fraction, bit for bit.  The eight
     corners are read from one base index at constant offsets,
     ``src[offset:].take(base)``.
-    The input is released once copied, so a caller that passes the only
-    reference (CPython 3.11+ hands a call's arguments over to the callee)
-    holds two fields at once, not three.
     """
-    vel = np.asarray(vel_vox, dtype=np.float32)
+    if out is None:
+        out = np.moveaxis(np.empty((3,) + np.shape(vel_vox)[:3], dtype=np.float32), 0, -1)
+    disp = np.moveaxis(out, -1, 0)
+    if out.shape != np.shape(vel_vox) or out.dtype != np.float32 or not disp.flags.c_contiguous:
+        raise ValueError("out must be a float32 channel-last view of (3, nx, ny, nz) storage")
+    if out is not vel_vox:
+        out[...] = vel_vox
     del vel_vox
-    dims = vel.shape[:3]
-    nx, ny, nz = dims
-    # channel-first working copies keep the gathers contiguous
-    disp = np.empty((3,) + dims, dtype=np.float32)
-    for ch in range(3):
-        disp[ch] = vel[..., ch]
-    del vel
     disp /= np.float32(2**steps)
+    dims = disp.shape[1:]
+    nx, ny, nz = dims
 
     # size-1 axes degenerate to stride 0: both lerp endpoints read voxel 0
     sx, sy, sz = (
@@ -229,6 +255,7 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
     # corner order (x, y, z) = 000, 001, 010, 011, 100, 101, 110, 111
     offsets = [0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz]
     rows = max(1, min(nx, _SLAB_VOXELS // max(ny * nz, 1)))
+    n_slabs = -(-nx // rows)
     slab = (rows, ny, nz)
     ramps = [_axis_ramp(n, i) for i, n in enumerate(dims)]
     coord = np.empty(slab, dtype=np.float32)
@@ -237,10 +264,17 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
     base = np.empty(slab, dtype=np.intp)
     lerp = [np.empty(slab, dtype=np.float32) for _ in range(4)]
     acc = np.empty(slab, dtype=np.float32)
-    nxt = np.empty_like(disp)
 
     for _ in range(steps):
-        for x0 in range(0, nx, rows):
+        reach = max(-float(disp[0].min()), float(disp[0].max()))
+        if math.isfinite(reach):
+            lag = math.ceil(reach) + 1
+            held = min(n_slabs, -(-lag // rows) + 1)
+        else:
+            lag, held = nx, n_slabs
+        ring = np.empty((3, min(held * rows, nx), ny, nz), dtype=np.float32)
+        done = 0  # x-planes below this hold their new values
+        for k, x0 in enumerate(range(0, nx, rows)):
             x1 = min(x0 + rows, nx)
             r = x1 - x0
             c, fl, b = coord[:r], floor[:r], base[:r]
@@ -259,16 +293,17 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
             fx, fy, fz = (f[:r] for f in frac)
             g00, g01, g10, g11 = (g[:r] for g in lerp)
             a = acc[:r]
+            slot = (k % held) * rows
             for ch in range(3):
                 src = disp[ch].ravel()
                 # indices stay in range by construction; mode="clip" skips the
                 # per-element bounds check np.take does in its default mode
-                for j, out in enumerate((g00, g01, g10, g11)):
-                    src[offsets[2 * j] :].take(b, out=out, mode="clip")
+                for j, lerped in enumerate((g00, g01, g10, g11)):
+                    src[offsets[2 * j] :].take(b, out=lerped, mode="clip")
                     src[offsets[2 * j + 1] :].take(b, out=a, mode="clip")
-                    np.subtract(a, out, out=a)
+                    np.subtract(a, lerped, out=a)
                     np.multiply(a, fz, out=a)
-                    np.add(out, a, out=out)
+                    np.add(lerped, a, out=lerped)
                 np.subtract(g01, g00, out=g01)
                 np.multiply(g01, fy, out=g01)
                 np.add(g00, g01, out=g00)
@@ -278,10 +313,13 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7) -> np.ndarray:
                 np.subtract(g10, g00, out=g10)
                 np.multiply(g10, fx, out=g10)
                 np.add(g00, g10, out=g00)
-                np.add(disp[ch, x0:x1], g00, out=nxt[ch, x0:x1])
-        disp, nxt = nxt, disp
-    # channel-last view: each channel of it is one contiguous block
-    return np.moveaxis(disp, 0, -1)
+                np.add(disp[ch, x0:x1], g00, out=ring[ch, slot : slot + r])
+            # no later slab of this step reads below x1 - lag
+            stop = x1 if x1 == nx else max(done, x1 - lag)
+            _write_back(disp, ring, rows, held, done, stop)
+            done = stop
+        del ring
+    return out
 
 
 def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
@@ -291,9 +329,17 @@ def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
 
 
 def svf_from_control(ctrl: np.ndarray, dims, spacing, steps: int = 7) -> np.ndarray:
-    """Upsample control velocities to the grid and integrate them: (nx, ny, nz, 3) float32, in mm."""
-    # passed as the only reference, so integrate_velocity can release it
-    disp = integrate_velocity(upsample_control_grid(np.asarray(ctrl, dtype=np.float32), dims), steps)
+    """Upsample control velocities to the grid and integrate them: (nx, ny, nz, 3) float32, in mm.
+
+    Each channel is upsampled straight into the channel-first buffer that
+    ``integrate_velocity`` squares in, so the field is held once.
+    """
+    dims = tuple(int(d) for d in dims)
+    ctrl = np.asarray(ctrl, dtype=np.float32)
+    disp = np.moveaxis(np.empty((3,) + dims, dtype=np.float32), 0, -1)
+    for ch in range(3):
+        upsample_control_grid(ctrl[..., ch], dims, out=disp[..., ch])
+    integrate_velocity(disp, steps, out=disp)
     disp *= np.asarray(spacing, dtype=np.float32)
     return disp
 
@@ -330,24 +376,36 @@ def jacobian_determinant(disp_mm: np.ndarray, spacing) -> np.ndarray:
     )
 
 
-def transform_coordinates(dims, spacing, affine: AffineParams | None, disp_mm: np.ndarray | None) -> np.ndarray:
+def transform_coordinates(
+    dims, spacing, affine: AffineParams | None, disp_mm: np.ndarray | None, out=None
+) -> np.ndarray:
     """Sampling grid (voxel units, channel-first) of affine o (id + disp_mm).
 
     Entry [i, x, y, z] is the source coordinate along axis i at which output
     voxel (x, y, z) samples the input (the affine acts about the volume
     center, in mm; ``disp_mm`` is (nx, ny, nz, 3) in mm).  Every volume
     warped through the transform shares it: ``sample_at_voxels(vol.data, coords)``.
+
+    The grid is built in ``out``, a float32 (3, nx, ny, nz) array, when it
+    is given; ``out`` may be the channel-first storage of ``disp_mm``
+    itself (``np.moveaxis(disp_mm, -1, 0)``, as the generator passes it),
+    which is then overwritten.  Each channel reads only its own channel of
+    the displacement and the affine works a slab of x-planes at a time,
+    so at once the function holds the grid and one slab of scratch.
     """
     dims = tuple(int(d) for d in dims)
     spacing = np.asarray(spacing, dtype=np.float32)
-    pos = np.empty((3,) + dims, dtype=np.float32)
+    pos = np.empty((3,) + dims, dtype=np.float32) if out is None else out
+    if pos.shape != (3,) + dims or pos.dtype != np.float32:
+        raise ValueError(f"out must be float32 of shape {(3,) + dims}, got {pos.dtype} {pos.shape}")
+    if disp_mm is not None and disp_mm.shape != dims + (3,):
+        raise InvalidRange(f"displacement shape {disp_mm.shape} does not match the grid {dims + (3,)}")
     for i in range(3):
-        np.multiply(_axis_ramp(dims[i], i), spacing[i], out=pos[i])
-    if disp_mm is not None:
-        if disp_mm.shape != dims + (3,):
-            raise InvalidRange(f"displacement shape {disp_mm.shape} does not match the grid {dims + (3,)}")
-        for i in range(3):
-            pos[i] += disp_mm[..., i]
+        ramp = np.multiply(_axis_ramp(dims[i], i), spacing[i])
+        if disp_mm is None:
+            pos[i] = ramp
+        else:
+            np.add(disp_mm[..., i], ramp, out=pos[i])
 
     if affine is not None:
         center = (np.asarray(dims, dtype=np.float64) - 1.0) / 2.0 * spacing

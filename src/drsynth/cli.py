@@ -40,7 +40,7 @@ from .checkpoints import (
     require_same_layout,
     write_checkpoint,
 )
-from .config import apply_sections, config_sections, load_config, read_sections
+from .config import apply_sections, config_sections, read_sections
 from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError, prefixed
 from .fileio import atomic_write, read_file, read_text
@@ -95,8 +95,15 @@ def _read_subject(image_path: str, labels_path: str, on_hash=None) -> list:
     return volumes
 
 
-def _load_generation_config(args) -> GenerationConfig:
-    cfg = load_config(args.config) if args.config else GenerationConfig()
+def _load_generation_config(args, sections=None) -> GenerationConfig:
+    """The --config file over the defaults, then the --seed, --mode and --profile flags.
+
+    ``sections`` are the file's parsed sections when the caller has read
+    it already; the file is then not read again.
+    """
+    if sections is None:
+        sections = read_sections(args.config) if args.config else {}
+    cfg = apply_sections(GenerationConfig(), sections)
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "mode", None):
@@ -461,9 +468,10 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_epg(args) -> int:
-    cfg = _load_generation_config(args)
+    sections = read_sections(args.config) if args.config else {}
+    cfg = _load_generation_config(args, sections)
     # the default mode renders randomized relaxometry; a Gaussian mode set in the file fails
-    if cfg.mode not in PHYSICS_MODES and args.config and "mode" in read_sections(args.config).get("synthgen", {}):
+    if cfg.mode not in PHYSICS_MODES and "mode" in sections.get("synthgen", {}):
         valid = ", ".join(m.value for m in PHYSICS_MODES)
         raise ConfigError(f"synthgen.mode: epg needs one of {valid}, got {cfg.mode.value!r}")
     if args.labels:

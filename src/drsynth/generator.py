@@ -202,8 +202,10 @@ def generate_sample(
     # Each large intermediate is dropped once no later stage reads it, so a
     # sample's peak memory is that of its largest stage, not of all of them.
     if affine is not None:
-        coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf)
-        del svf
+        # the grid is built in the SVF's own storage, which nothing reads after
+        grid = None if svf is None else np.moveaxis(svf, -1, 0)
+        coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf, out=grid)
+        del svf, grid
         labels = labels.with_data(augment.sample_at_voxels(labels.data, coords))
         intensity = intensity.with_data(augment.sample_at_voxels(intensity.data, coords))
         del coords

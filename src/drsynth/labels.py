@@ -37,13 +37,13 @@ def remap_drawem_to_feta(labels: LabelMap) -> LabelMap:
     data = labels.data
     if data.size and data.max() > 9:
         raise UnknownLabel(f"label value {int(data.max())} outside the 9-class vocabulary")
-    lut = np.zeros(10, dtype=np.int32)
+    lut = np.zeros(10, dtype=np.uint8)
     for src, dst in DRAWEM_TO_FETA.items():
         lut[src] = dst
     return LabelMap(lut[data], labels.spacing, LabelScheme.FETA7, labels.affine)
 
 
-_META_LUT = np.zeros(8, dtype=np.int32)
+_META_LUT = np.zeros(8, dtype=np.uint8)
 _META_LUT[list(META_CLASS_TABLE)] = list(META_CLASS_TABLE.values())
 _META_LUT.flags.writeable = False
 
@@ -103,9 +103,15 @@ def em_cluster(intensity: Volume3D, mask: np.ndarray, k: int) -> GmmFit:
     (1e-4) or after ``_EM_MAX_ITER`` (50) rounds; ``GmmFit.converged``
     tells which.  A variance floor of 1e-6 x sample variance is applied at
     every M step.
+
+    Initialization reads the class intensities in float64; after it the
+    fit holds them once, in the work dtype, next to the (3, n) quadratic
+    basis, the (k, n) responsibilities and one (n,) row of scratch, through
+    which the M step computes each component's variance in turn.
     """
     mask = np.asarray(mask, dtype=bool)
-    x = intensity.data[mask].astype(np.float64)
+    x32 = intensity.data[mask]
+    x = x32.astype(np.float64)
     n = x.size
     if n == 0:
         raise EmptyMask("cannot cluster an empty voxel set")
@@ -124,14 +130,15 @@ def em_cluster(intensity: Volume3D, mask: np.ndarray, k: int) -> GmmFit:
     # Large problems run the per-voxel work in float32 (all parameter and
     # likelihood accumulations stay float64); small ones keep float64.
     work = np.float32 if n * k >= (1 << 19) else np.float64
-    xw = x.astype(work, copy=False)
+    xw = x32 if work is np.float32 else x  # x32 is x as float32, exactly
+    del x, x32
     basis = np.empty((3, n), dtype=work)
     np.square(xw, out=basis[0])
     basis[1] = xw
     basis[2] = 1.0
     coef = np.empty((k, 3), dtype=work)
     resp = np.empty((k, n), dtype=work)
-    scratch = np.empty((k, n), dtype=work)
+    row = np.empty(n, dtype=work)
 
     prev_ll = -np.inf
     ll = -np.inf
@@ -164,11 +171,14 @@ def em_cluster(intensity: Volume3D, mask: np.ndarray, k: int) -> GmmFit:
         nk = np.maximum(resp.sum(axis=1, dtype=np.float64), 1e-300)
         weights = nk / nk.sum()
         means = (resp @ xw).astype(np.float64) / nk
-        np.subtract(xw, means.astype(work)[:, np.newaxis], out=scratch)
-        np.square(scratch, out=scratch)
-        scratch *= resp
-        variances = scratch.sum(axis=1, dtype=np.float64) / nk
-        variances = np.maximum(variances, floor)
+        spread = np.empty(k)
+        # a row's float64 sum equals its row of sum(axis=1), bit for bit
+        for j, mean in enumerate(means.astype(work)):
+            np.subtract(xw, mean, out=row)
+            np.square(row, out=row)
+            row *= resp[j]
+            spread[j] = row.sum(dtype=np.float64)
+        variances = np.maximum(spread / nk, floor)
 
     assignments = np.argmax(resp, axis=0).astype(np.int32)
     return GmmFit(
@@ -230,13 +240,15 @@ def split_meta_classes(
         raise ValueError(f"invalid k range {k_range!r}")
 
     class_ids = sorted(int(v) for v in np.unique(labels.data) if v != 0)
-    sub = np.zeros(labels.dims, dtype=np.int32)
+    ranges = {cid: (k_range_by_class or {}).get(cid, (lo, hi)) for cid in class_ids}
+    # ids run up to the sum of the k bounds, so the map is allocated narrow
+    sub = np.zeros(labels.dims, dtype=np.min_scalar_type(sum(max(1, r[1]) for r in ranges.values())))
     k_by_class: dict[int, int] = {}
     subclass_to_class: dict[int, tuple[int, int]] = {}
     fits: dict[int, GmmFit] = {}
     next_id = 1
     for cid in class_ids:
-        clo, chi = (k_range_by_class or {}).get(cid, (lo, hi))
+        clo, chi = ranges[cid]
         k = int(rng.integers(clo, chi + 1))
         mask = labels.data == cid
         n_vox = int(mask.sum())
@@ -266,7 +278,7 @@ def toy_label_map(dims=(32, 32, 32), spacing=(1.0, 1.0, 1.0)) -> LabelMap:
     r = np.max(
         np.stack([np.abs(g - c) / max(c, 1.0) for g, c in zip(grids, center)]), axis=0
     )
-    data = np.zeros(dims, dtype=np.int32)
+    data = np.zeros(dims, dtype=np.uint8)
     shells = np.linspace(0.9, 0.1, 7)
     for lab, radius in enumerate(shells, start=1):
         data[r <= radius] = lab

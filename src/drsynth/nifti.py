@@ -120,7 +120,8 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
 
     With a declared ``scheme`` the result is a LabelMap (integer data
     required on disk; float data is accepted only when every value is
-    integral).  Without one the result is a Volume3D with values cast to
+    integral), which stores the labels in the narrowest unsigned type that
+    holds their largest value.  Without one the result is a Volume3D with values cast to
     float32 and intensity scaling applied.  ``raw`` is the file's bytes
     when the caller has read them already (to hash what it decodes); the
     file is then not read again, and ``path`` names it in errors.
@@ -179,8 +180,8 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
             if np.issubdtype(data.dtype, np.floating):
                 if not np.array_equal(data, np.round(data)):
                     raise FormatError("non-integral values cannot form a label map")
-                data = data.astype(np.int32)
-            return LabelMap(data.astype(np.int32), spacing, scheme, affine)
+                data = data.astype(np.int64)
+            return LabelMap(data, spacing, scheme, affine)
 
         slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
         out = data
@@ -210,7 +211,7 @@ def _pack_header(shape, spacing, affine, code, bitpix) -> bytes:
 
 
 def write_nifti(vol, path) -> None:
-    """Write a Volume3D (float32) or LabelMap (int16/int32) to ``path``.
+    """Write a Volume3D (float32) or LabelMap (int16, or int32 past 32767) to ``path``.
 
     The write is atomic (temp file + rename).  A name ending in ``.gz`` is
     gzipped by one zlib stream with the setting for the volume's kind: a

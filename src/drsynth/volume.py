@@ -82,7 +82,12 @@ class Volume3D:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """An integer label volume with a declared scheme."""
+    """An integer label volume with a declared scheme.
+
+    The data is stored in the narrowest unsigned integer type that holds
+    its largest value (``np.min_scalar_type``): uint8 for every shipped
+    vocabulary and for up to 255 subclass ids, uint16 up to 65535.
+    """
 
     data: np.ndarray
     spacing: tuple[float, float, float]
@@ -93,17 +98,16 @@ class LabelMap:
         data = np.asarray(self.data)
         if not np.issubdtype(data.dtype, np.integer):
             raise UnknownLabel(f"label data must be integer-typed, got {data.dtype}")
-        data = data.astype(np.int32, copy=False)
         affine = np.asarray(self.affine, dtype=np.float64)
         spacing = tuple(float(s) for s in self.spacing)
         _check_geometry(data, spacing, affine)
-        if data.size and data.min() < 0:
+        if np.issubdtype(data.dtype, np.signedinteger) and data.min() < 0:
             raise UnknownLabel("negative label values")
+        top = int(data.max())
         hi = _SCHEME_MAX.get(self.scheme)
-        if hi is not None and data.size and data.max() > hi:
-            raise UnknownLabel(
-                f"label value {int(data.max())} outside scheme {self.scheme.value} (max {hi})"
-            )
+        if hi is not None and top > hi:
+            raise UnknownLabel(f"label value {top} outside scheme {self.scheme.value} (max {hi})")
+        data = data.astype(np.min_scalar_type(top), order="C", copy=False)
         object.__setattr__(self, "data", _freeze(data))
         object.__setattr__(self, "affine", _freeze(affine))
         object.__setattr__(self, "spacing", spacing)

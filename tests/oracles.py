@@ -94,6 +94,57 @@ def integrate_velocity_ref(vel: np.ndarray, steps: int) -> np.ndarray:
     return np.stack(disp, axis=-1)
 
 
+def integrate_velocity_double_buffer(vel: np.ndarray, steps: int, slab_voxels: int = 1 << 15) -> np.ndarray:
+    """The slab-blocked scaling and squaring with a second whole-field buffer.
+
+    Each step writes u + u(x + u) for every slab into a separate field and
+    swaps the two at the end, so no slab can read a value of the step it
+    is in.  The arithmetic is the fused kernel's (one base index for the
+    three channels, lerp weights from float32 floors), so a single-buffer
+    kernel must match this one bit for bit, NaN payloads included.
+    """
+    vel = np.asarray(vel, dtype=np.float32)
+    dims = vel.shape[:3]
+    nx, ny, nz = dims
+    disp = np.empty((3,) + dims, dtype=np.float32)
+    for ch in range(3):
+        disp[ch] = vel[..., ch]
+    disp /= np.float32(2**steps)
+    sx, sy, sz = (int(np.prod(dims[i + 1 :])) if dims[i] > 1 else 0 for i in range(3))
+    offsets = [0, sz, sy, sy + sz, sx, sx + sz, sx + sy, sx + sy + sz]
+    rows = max(1, min(nx, slab_voxels // max(ny * nz, 1)))
+    ramps = []
+    for i, n in enumerate(dims):
+        shape = [1, 1, 1]
+        shape[i] = n
+        ramps.append(np.arange(n, dtype=np.float32).reshape(shape))
+    nxt = np.empty_like(disp)
+    with np.errstate(invalid="ignore"):
+        for _ in range(steps):
+            for x0 in range(0, nx, rows):
+                x1 = min(x0 + rows, nx)
+                fracs, base = [], None
+                for i, n in enumerate(dims):
+                    c = np.clip((ramps[i][x0:x1] if i == 0 else ramps[i]) + disp[i, x0:x1], 0.0, n - 1.0)
+                    f = np.minimum(np.floor(c), np.float32(max(n - 2, 0)))
+                    idx = f.astype(np.intp)
+                    base = idx if base is None else base * n + idx
+                    fracs.append(c - f)
+                fx, fy, fz = fracs
+                for ch in range(3):
+                    src = disp[ch].ravel()
+                    g = []
+                    for j in range(4):
+                        lo = src[offsets[2 * j] :].take(base, mode="clip")
+                        hi = src[offsets[2 * j + 1] :].take(base, mode="clip")
+                        g.append(lo + (hi - lo) * fz)
+                    g00 = g[0] + (g[1] - g[0]) * fy
+                    g10 = g[2] + (g[3] - g[2]) * fy
+                    nxt[ch, x0:x1] = disp[ch, x0:x1] + (g00 + (g10 - g00) * fx)
+            disp, nxt = nxt, disp
+    return np.moveaxis(disp, 0, -1)
+
+
 # ---------------------------------------------------------------------------
 # segmentation metrics
 
@@ -326,6 +377,63 @@ def gmm_log_likelihood_ref(x, means, variances, weights) -> float:
             s += w * math.exp(-((v - m) ** 2) / (2.0 * var)) / math.sqrt(2.0 * math.pi * var)
         total += math.log(s)
     return total
+
+
+def em_cluster_kn_scratch(values, k: int, max_iter: int = 50, rel_tol: float = 1e-4) -> dict:
+    """The EM fit with a full (k, n) work array for the variance sums.
+
+    ``values`` are the class intensities (float32).  Initialization, the
+    float32 work dtype for n * k >= 2**19, the matmul E step and the
+    variance floor are the production fit's; the M step squares every
+    deviation into one (k, n) array and sums it along axis 1.  Returns
+    means, variances, weights, assignments, ll_history and n_iter.
+    """
+    x = np.asarray(values).astype(np.float64)
+    n = x.size
+    sample_var = float(np.var(x))
+    floor = max(1e-6 * sample_var, 1e-12)
+    means = np.quantile(x, (np.arange(k) + 0.5) / k)
+    variances = np.full(k, max(sample_var, floor))
+    weights = np.full(k, 1.0 / k)
+    work = np.float32 if n * k >= (1 << 19) else np.float64
+    xw = x.astype(work, copy=False)
+    basis = np.stack([xw * xw, xw, np.ones_like(xw)])
+    coef = np.empty((k, 3), dtype=work)
+    resp = np.empty((k, n), dtype=work)
+    scratch = np.empty((k, n), dtype=work)
+    prev_ll, history, it = -np.inf, [], 0
+    for it in range(1, max_iter + 1):
+        with np.errstate(divide="ignore"):
+            lw = np.log(weights) - 0.5 * np.log(2.0 * np.pi * variances)
+        coef[:, 0] = -0.5 / variances
+        coef[:, 1] = means / variances
+        coef[:, 2] = lw - 0.5 * means**2 / variances
+        np.matmul(coef, basis, out=resp)
+        peak = resp.max(axis=0)
+        resp -= peak
+        np.exp(resp, out=resp)
+        total = resp.sum(axis=0, dtype=np.float64)
+        ll = float((peak + np.log(total)).sum(dtype=np.float64))
+        history.append(ll)
+        if prev_ll > -np.inf and abs(ll - prev_ll) / max(abs(prev_ll), 1e-300) < rel_tol:
+            break
+        prev_ll = ll
+        resp /= total.astype(work, copy=False)
+        nk = np.maximum(resp.sum(axis=1, dtype=np.float64), 1e-300)
+        weights = nk / nk.sum()
+        means = (resp @ xw).astype(np.float64) / nk
+        np.subtract(xw, means.astype(work)[:, np.newaxis], out=scratch)
+        np.square(scratch, out=scratch)
+        scratch *= resp
+        variances = np.maximum(scratch.sum(axis=1, dtype=np.float64) / nk, floor)
+    return {
+        "means": np.asarray(means, dtype=np.float64),
+        "variances": np.asarray(variances, dtype=np.float64),
+        "weights": np.asarray(weights, dtype=np.float64),
+        "assignments": np.argmax(resp, axis=0).astype(np.int32),
+        "ll_history": tuple(history),
+        "n_iter": it,
+    }
 
 
 # ---------------------------------------------------------------------------

@@ -14,6 +14,7 @@ from drsynth.augment import (
     apply_bias_field,
     bias_field_from_control,
     draw_affine,
+    draw_svf_control,
     draw_resolution,
     draw_simple_plan,
     draw_svf_deformation,
@@ -24,13 +25,15 @@ from drsynth.augment import (
     rescale_unit,
     sample_bias_control,
     simulate_resolution,
+    svf_from_control,
     transform_coordinates,
     upsample_control_grid,
 )
 from drsynth.errors import InvalidGamma, InvalidRange
 from drsynth.volume import LabelMap, LabelScheme, Volume3D, sample_at_voxels
 
-from oracles import integrate_velocity_ref, sample_trilinear
+from conftest import traced_peak
+from oracles import integrate_velocity_double_buffer, integrate_velocity_ref, sample_trilinear
 
 IDENTITY = AffineParams((0, 0, 0), (1, 1, 1), (0, 0, 0), (0,) * 6)
 
@@ -109,7 +112,7 @@ def test_label_maps_warp_nearest_only(rng):
     lm = LabelMap(rng.integers(0, 8, (8, 8, 8), dtype=np.int32), (1, 1, 1), LabelScheme.FETA7)
     disp = draw_svf_deformation(lm.dims, lm.spacing, SvfConfig(), np.random.default_rng(4))
     out = warp(lm, draw_affine(AffineRanges(translation_mm=2.0), rng), disp)
-    assert out.data.dtype == np.int32
+    assert lm.data.dtype == out.data.dtype == np.uint8  # the narrowest unsigned type that holds 7
     assert set(np.unique(out.data)) <= set(np.unique(lm.data)) | {0}
 
 
@@ -227,6 +230,122 @@ def test_integration_test_shapes_span_several_slabs():
     rows = augment._SLAB_VOXELS // (40 * 33)
     assert 1 <= rows < 70 and 70 % rows != 0
     assert 190 * 180 > augment._SLAB_VOXELS
+
+
+def _random_field(dims, sigma, seed=0):
+    rng = np.random.default_rng(seed)
+    return (rng.standard_normal(tuple(dims) + (3,)) * sigma).astype(np.float32)
+
+
+def _clamping_field():
+    # x-displacements push the low half below voxel 0 and the high half past
+    # the last plane, so sampling clamps at both edges in every step
+    vel = _random_field((40, 12, 10), 0.5, seed=1)
+    vel[:20, ..., 0] -= 60.0
+    vel[20:, ..., 0] += 60.0
+    return vel
+
+
+def _nan_field():
+    vel = _random_field((24, 16, 12), 3.0, seed=2)
+    vel[5, 6, 7, 0] = np.nan
+    return vel
+
+
+def _minus_inf_field():
+    # x + u_x = -inf clips to plane 0, far below the voxel: its y and z
+    # channels stay finite only if planes 0 and 1 still hold old values
+    vel = _random_field((24, 16, 12), 3.0, seed=3)
+    vel[20, 6, 7, 0] = -np.inf
+    return vel
+
+
+def _still_x_field():
+    # u_x = 0: the last x-plane samples plane n - 2 (the clamp to n - 2 with
+    # fraction 1), one plane more than max|u_x| = 0 reaches
+    vel = _random_field((12, 7, 6), 3.0, seed=4)
+    vel[..., 0] = 0.0
+    return vel
+
+
+LAG_RING_FIELDS = {
+    "svf-128": lambda: upsample_control_grid(draw_svf_control(SvfConfig(), np.random.default_rng(11)), (128,) * 3),
+    "37x5x64": lambda: _random_field((37, 5, 64), 3.0),
+    "1x8x9": lambda: _random_field((1, 8, 9), 3.0),
+    "9x1x7": lambda: _random_field((9, 1, 7), 3.0),
+    "sigma40-64": lambda: _random_field((64, 64, 64), 40.0),
+    "sigma200-50x30x20": lambda: _random_field((50, 30, 20), 200.0),
+    "clamps-both-edges": _clamping_field,
+    "nan": _nan_field,
+    "minus-inf": _minus_inf_field,
+    "still-x": _still_x_field,
+}
+
+
+@pytest.mark.parametrize("in_place", [False, True])
+@pytest.mark.parametrize("name", list(LAG_RING_FIELDS))
+def test_lag_ring_matches_the_double_buffer_oracle_bit_for_bit(name, in_place):
+    vel = LAG_RING_FIELDS[name]()
+    want = integrate_velocity_double_buffer(vel, 7).tobytes()
+    if in_place:  # as svf_from_control calls it, in channel-first storage
+        vel = np.moveaxis(np.ascontiguousarray(np.moveaxis(vel, -1, 0)), 0, -1)
+        with np.errstate(invalid="ignore"):
+            got = integrate_velocity(vel, 7, out=vel)
+        assert got is vel
+    else:
+        with np.errstate(invalid="ignore"):
+            got = integrate_velocity(vel, 7)
+    assert got.tobytes() == want
+
+
+@pytest.mark.parametrize("name", ["svf-128", "clamps-both-edges", "nan", "minus-inf", "still-x"])
+def test_lag_ring_with_one_plane_slabs_matches_the_oracle(monkeypatch, name):
+    # one x-plane per slab: the ring reuses its slots many times per step
+    vel = LAG_RING_FIELDS[name]()
+    monkeypatch.setattr(augment, "_SLAB_VOXELS", vel.shape[1] * vel.shape[2])
+    with np.errstate(invalid="ignore"):
+        got = integrate_velocity(vel, 7)
+    assert got.tobytes() == integrate_velocity_double_buffer(vel, 7).tobytes()
+
+
+def test_integration_out_must_be_channel_first_float32_storage():
+    vel = _random_field((6, 5, 4), 1.0)
+    with pytest.raises(ValueError):
+        integrate_velocity(vel, 3, out=vel)  # channel-last storage
+    other = np.moveaxis(np.empty((3, 6, 5, 4), np.float32), 0, -1)
+    assert integrate_velocity(vel, 3, out=other).tobytes() == integrate_velocity(vel, 3).tobytes()
+
+
+def test_svf_from_control_holds_one_field_plus_the_ring():
+    # 64^3 with the default deformation: a field is 3 MiB, the last steps'
+    # ring holds 2 slabs of 8 x-planes (0.75 MiB) and the slab scratch takes
+    # 52 bytes per slab voxel (1.6 MiB).  With a second field buffer and a
+    # channel-last velocity copy it peaked at 2.55 fields (7.7 MiB).
+    dims = (64, 64, 64)
+    ctrl = draw_svf_control(SvfConfig(), np.random.default_rng(3))
+    field = 3 * 4 * int(np.prod(dims))
+    ring = 3 * 4 * 16 * 64 * 64
+    scratch = 52 * augment._SLAB_VOXELS
+    svf_from_control(ctrl, dims, (1, 1, 1), 7)  # the first call in a process traces one-time set-up
+    peak = traced_peak(svf_from_control, ctrl, dims, (1, 1, 1), 7)
+    assert peak < field + ring + scratch + (64 << 10)
+
+
+def test_svf_from_control_matches_channel_last_upsampling_and_integration():
+    ctrl = draw_svf_control(SvfConfig(), np.random.default_rng(8))
+    dims, spacing = (21, 13, 17), (1.0, 0.8, 1.5)
+    want = integrate_velocity(upsample_control_grid(ctrl, dims), 7) * np.asarray(spacing, dtype=np.float32)
+    assert svf_from_control(ctrl, dims, spacing, 7).tobytes() == want.tobytes()
+
+
+def test_transform_coordinates_in_the_fields_own_storage_changes_no_bit(rng):
+    dims, spacing = (23, 9, 11), (0.8, 1.0, 1.7)
+    affine = draw_affine(AffineRanges(), rng)
+    field = np.moveaxis(rng.standard_normal((3,) + dims).astype(np.float32), 0, -1)
+    want = transform_coordinates(dims, spacing, affine, field).tobytes()
+    storage = np.moveaxis(field, -1, 0)
+    assert transform_coordinates(dims, spacing, affine, field, out=storage) is storage
+    assert storage.tobytes() == want
 
 
 def test_zero_velocity_integrates_to_zero():

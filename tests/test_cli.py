@@ -918,6 +918,24 @@ def test_epg_rejects_a_gaussian_mode_from_the_config(tmp_path, capsys):
     assert code == 0, err
 
 
+@pytest.mark.parametrize(
+    "text", ["[synthgen]\nmaster_seed = 5\n", "[synthgen]\nmode = randfabian\n"], ids=["no-mode", "mode"]
+)
+def test_epg_reads_its_config_once(tmp_path, capsys, monkeypatch, text):
+    # the mode check reads the sections the config was built from, so a file
+    # replaced meanwhile cannot be judged by bytes the run did not load
+    import drsynth.config
+
+    ini = tmp_path / "e.ini"
+    ini.write_text(text)
+    calls = []
+    read_text = drsynth.config.read_text
+    monkeypatch.setattr(drsynth.config, "read_text", lambda path: calls.append(path) or read_text(path))
+    code, _, err = run(capsys, "epg", "--config", str(ini), "--out", str(tmp_path / "e.nii.gz"))
+    assert code == 0, err
+    assert calls == [str(ini)]
+
+
 def test_epg_accepts_a_label_file(tmp_path, capsys):
     _, lab = write_subject(tmp_path, "toy", dims=(10, 10, 10))
     out = tmp_path / "r.nii.gz"

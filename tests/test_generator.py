@@ -279,18 +279,37 @@ def test_per_tissue_mode_clusters_each_label(subject):
     assert all(v == 2 for v in k_by_class.values())
 
 
+def test_a_partition_past_255_subclass_ids_renders():
+    # 7 tissue classes x 40 components: the subclass map needs 16 bits, which
+    # the map allocates from the bound on its ids before any class is fitted;
+    # at 40^3 the smallest class has 64 voxels, so no k is clamped
+    labels, intensity = make_subject((40, 40, 40))
+    cfg = small_config(mode=GeneratorMode.SYNTHSEG, k_range=(40, 40))
+    part = partition_subclasses(labels, intensity, cfg, np.random.default_rng(0))
+    assert part.n_subclasses == 280 and part.ids() == list(range(1, 281))
+    assert part.subclass_map.data.dtype == np.uint16
+    assert int(part.subclass_map.data.max()) == 280
+    params = sample_gmm_params(part.ids(), (10.0, 200.0), (1.0, 5.0), np.random.default_rng(1))
+    image = render_intensities(part.subclass_map, params, np.random.default_rng(2))
+    assert np.all(np.isfinite(image.data)) and image.data.max() > 0
+    pair = generate_sample(labels, intensity, cfg, 0)
+    assert pair.drawn["k_by_class"] == {str(c): 40 for c in range(1, 8)}
+    assert pair.labels.data.dtype == np.uint8 and np.isfinite(pair.image.data).all()
+
 
 @pytest.mark.parametrize("index", [1, 2, 3])
 def test_a_sample_holds_only_live_volumes(index):
     # Each stage's large intermediates are dropped once no later stage reads
     # them (the SVF, the warp grid, the source intensity, the partition, the
     # blurred volume), and no kernel makes a full-size float64 copy.  At 48^3
-    # a float32 volume is 0.42 MiB; these samples peak at 12.7 volumes of
-    # traced memory (5.35 MiB), and at 21.5-21.9 volumes when every
-    # intermediate lived until the sample returned.  The bound leaves about
-    # two volumes of margin.
+    # a float32 volume is 0.42 MiB; these samples peak at 11.95 volumes of
+    # traced memory (5.04 MiB): the SVF is squared and turned into the warp
+    # grid in one field buffer, and label maps are uint8.  With int32 labels
+    # and a second field buffer they peaked at 12.7 volumes, and at 21.5-21.9
+    # when every intermediate lived until the sample returned.  The bound
+    # leaves about two volumes of margin.
     labels, intensity = make_subject((48, 48, 48))
     cfg = GenerationConfig(mode=GeneratorMode.FETALSYNTHSEG, profile=AugmentProfile.SYNTHSEG_FULL)
     generate_sample(labels, intensity, cfg, 0)  # the first call in a process traces one-time set-up
     peak = traced_peak(generate_sample, labels, intensity, cfg, index)
-    assert peak < 15 * labels.data.nbytes
+    assert peak < 14 * intensity.data.nbytes

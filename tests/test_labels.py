@@ -16,7 +16,7 @@ from drsynth.labels import (
 )
 from drsynth.volume import LabelMap, LabelScheme, Volume3D
 
-from oracles import gmm_log_likelihood_ref
+from oracles import em_cluster_kn_scratch, gmm_log_likelihood_ref
 
 
 def drawem_map(values):
@@ -144,6 +144,28 @@ def test_em_large_input_takes_float32_path(rng):
     fit = em_cluster(vol, mask, 2)
     np.testing.assert_allclose(np.sort(fit.means), [0.0, 20.0], atol=0.05)
     assert abs(fit.weights.sum() - 1.0) < 1e-9
+
+
+# (k, n): n * k below 2**19 runs the per-voxel work in float64, above it in float32
+EM_ORACLE_CASES = [(1, 40_000), (1, 600_000), (2, 40_000), (2, 300_000), (9, 40_000), (9, 70_000)]
+
+
+@pytest.mark.parametrize("k, n", EM_ORACLE_CASES)
+def test_em_row_scratch_matches_the_kn_scratch_oracle_bit_for_bit(k, n):
+    r = np.random.default_rng(k * n)
+    x = np.concatenate([r.normal(m, 1.0 + m / 8, n // 3 + 1) for m in (10.0, 35.0, 80.0)])[:n]
+    vol, mask = _masked_volume(x)
+    fit = em_cluster(vol, mask, k)
+    ref = em_cluster_kn_scratch(vol.data[mask], k)
+    for name in ("means", "variances", "weights", "assignments"):
+        assert getattr(fit, name).tobytes() == ref[name].tobytes(), name
+    assert fit.ll_history == ref["ll_history"]
+    assert fit.n_iter == ref["n_iter"]
+
+
+def test_em_oracle_cases_cover_both_work_dtypes():
+    for k in (1, 2, 9):
+        assert {n * k >= (1 << 19) for kk, n in EM_ORACLE_CASES if kk == k} == {False, True}
 
 
 def test_em_input_validation():

@@ -1,4 +1,5 @@
 import gzip
+import hashlib
 import re
 import struct
 
@@ -115,6 +116,22 @@ def test_labelmap_round_trip_small_values(tmp_path, rng):
     np.testing.assert_array_equal(back.data, lm.data)
 
 
+def test_a_label_map_holding_300_keeps_16_bits_and_its_file_bytes(tmp_path):
+    data = np.arange(24, dtype=np.int64).reshape(2, 3, 4)
+    data[1, 2, 3] = 300
+    lm = LabelMap(data, (1.0, 0.5, 2.0), LabelScheme.SUBCLASS)
+    assert lm.data.dtype == np.uint16
+    p = tmp_path / "lab.nii"
+    write_nifti(lm, p)
+    # the digest int32 label storage wrote: int16 on disk either way
+    assert hashlib.sha256(p.read_bytes()).hexdigest() == (
+        "101ad47fe955b43b996d966e177e3cd10d0d194eed65aa936dfa6720d2ecd43d"
+    )
+    back = read_nifti(p, scheme=LabelScheme.SUBCLASS)
+    assert back.data.dtype == np.uint16
+    np.testing.assert_array_equal(back.data, data)
+
+
 def test_labelmap_wide_values_use_int32(tmp_path):
     data = np.full((2, 2, 2), 40000, dtype=np.int32)
     p = tmp_path / "lab.nii"
@@ -129,7 +146,7 @@ def test_float_on_disk_labels(tmp_path):
     p = tmp_path / "v.nii"
     write_nifti(Volume3D(np.full((2, 2, 2), 3.0, np.float32), (1, 1, 1)), p)
     lm = read_nifti(p, scheme=LabelScheme.FETA7)
-    assert lm.data.dtype == np.int32
+    assert lm.data.dtype == np.uint8  # the narrowest unsigned type that holds 3
     assert int(lm.data.max()) == 3
 
     write_nifti(Volume3D(np.full((2, 2, 2), 3.5, np.float32), (1, 1, 1)), p)

@@ -70,6 +70,27 @@ def test_labelmap_scheme_bounds():
         LabelMap(_cube(-1), (1, 1, 1), LabelScheme.SUBCLASS)
 
 
+NARROWEST = [(0, np.uint8), (7, np.uint8), (255, np.uint8), (256, np.uint16), (65535, np.uint16), (65536, np.uint32)]
+
+
+@pytest.mark.parametrize(
+    "top, dtype, given",
+    [(top, dtype, given) for top, dtype in NARROWEST for given in (np.int16, np.int32, np.int64, np.uint32)
+     if top <= np.iinfo(given).max],
+)
+def test_labelmap_stores_the_narrowest_unsigned_type(top, dtype, given):
+    lm = LabelMap(_cube(top).astype(given), (1, 1, 1), LabelScheme.SUBCLASS)
+    assert lm.data.dtype == dtype
+    assert int(lm.data[0, 0, 0]) == top and lm.data.flags.c_contiguous
+
+
+def test_labelmap_narrows_fortran_order_data_to_c_order():
+    data = np.asfortranarray(np.arange(24, dtype=np.int32).reshape(2, 3, 4))
+    lm = LabelMap(data, (1, 1, 1), LabelScheme.SUBCLASS)
+    assert lm.data.dtype == np.uint8 and lm.data.flags.c_contiguous
+    np.testing.assert_array_equal(lm.data, data)
+
+
 def test_container_takes_ownership_of_array():
     # construction freezes the wrapped array in place rather than copying
     arr = np.zeros((2, 2, 2), dtype=np.float32)
