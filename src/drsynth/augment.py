@@ -194,17 +194,15 @@ def _write_back(disp, ring, rows, held, start, stop) -> None:
         start = end
 
 
-def integrate_velocity(vel_vox: np.ndarray, steps: int = 7, out=None) -> np.ndarray:
-    """Integrate a stationary velocity field by scaling and squaring.
+def integrate_velocity(vel: np.ndarray, steps: int = 7) -> np.ndarray:
+    """Integrate a stationary velocity field by scaling and squaring, in place.
 
     The field is divided by 2**steps and composed with itself ``steps``
     times: u <- u + u(x + u), with edge-clamped trilinear sampling of u.
-    Input and output are (nx, ny, nz, 3) in voxel units; the output is a
-    channel-last view of channel-first storage.  ``out``, when given, must
-    be such a float32 view of C-ordered (3, nx, ny, nz) storage; it may be
-    ``vel_vox`` itself, which is then integrated where it lies.  The sampler
-    is hand-fused: the three channels share one base index and one set of
-    lerp weights.
+    ``vel`` is (nx, ny, nz, 3) in voxel units and must be a float32
+    channel-last view of C-ordered (3, nx, ny, nz) storage; it is squared
+    where it lies and returned.  The sampler is hand-fused: the three
+    channels share one base index and one set of lerp weights.
 
     Each squaring step runs over slabs of whole x-planes (about
     ``_SLAB_VOXELS`` voxels) rather than the whole volume.  The
@@ -236,14 +234,9 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7, out=None) -> np.ndar
     corners are read from one base index at constant offsets,
     ``src[offset:].take(base)``.
     """
-    if out is None:
-        out = np.moveaxis(np.empty((3,) + np.shape(vel_vox)[:3], dtype=np.float32), 0, -1)
-    disp = np.moveaxis(out, -1, 0)
-    if out.shape != np.shape(vel_vox) or out.dtype != np.float32 or not disp.flags.c_contiguous:
-        raise ValueError("out must be a float32 channel-last view of (3, nx, ny, nz) storage")
-    if out is not vel_vox:
-        out[...] = vel_vox
-    del vel_vox
+    disp = np.moveaxis(vel, -1, 0)
+    if vel.ndim != 4 or vel.shape[-1] != 3 or vel.dtype != np.float32 or not disp.flags.c_contiguous:
+        raise ValueError("vel must be a float32 channel-last view of C-ordered (3, nx, ny, nz) storage")
     disp /= np.float32(2**steps)
     dims = disp.shape[1:]
     nx, ny, nz = dims
@@ -319,7 +312,7 @@ def integrate_velocity(vel_vox: np.ndarray, steps: int = 7, out=None) -> np.ndar
             _write_back(disp, ring, rows, held, done, stop)
             done = stop
         del ring
-    return out
+    return vel
 
 
 def draw_svf_control(cfg: SvfConfig, rng: np.random.Generator) -> np.ndarray:
@@ -339,7 +332,7 @@ def svf_from_control(ctrl: np.ndarray, dims, spacing, steps: int = 7) -> np.ndar
     disp = np.moveaxis(np.empty((3,) + dims, dtype=np.float32), 0, -1)
     for ch in range(3):
         upsample_control_grid(ctrl[..., ch], dims, out=disp[..., ch])
-    integrate_velocity(disp, steps, out=disp)
+    integrate_velocity(disp, steps)
     disp *= np.asarray(spacing, dtype=np.float32)
     return disp
 
