@@ -32,7 +32,6 @@ from .config import apply_sections, config_sections, load_config
 from .epg import (
     EpgSequenceParams,
     ReferenceInterval,
-    RelaxometryMode,
     RelaxometryRanges,
     SequenceRanges,
     TissueRelaxometry,
@@ -44,7 +43,6 @@ from .errors import DrsynthError
 from .generator import (
     GenerationConfig,
     GeneratorMode,
-    GmmParams,
     SamplePair,
     generate_sample,
     render_intensities,
@@ -92,13 +90,11 @@ __all__ = [
     "GenerationConfig",
     "GeneratorMode",
     "GmmFit",
-    "GmmParams",
     "LabelMap",
     "LabelScheme",
     "META_CLASS_TABLE",
     "RankSumResult",
     "ReferenceInterval",
-    "RelaxometryMode",
     "RelaxometryRanges",
     "ResolutionSim",
     "STAGE_IDS",

@@ -107,8 +107,13 @@ def read_checkpoint(path) -> Checkpoint:
         for d in dims:
             count *= d
         raw = cur.take(4 * count)
-        arr = np.frombuffer(raw, dtype="<f4", count=count).reshape(dims).copy()
-        tensors[name] = arr
+        try:
+            arr = np.frombuffer(raw, dtype="<f4", count=count).reshape(dims)
+        except ValueError as exc:  # an empty tensor whose other dims or rank numpy cannot index
+            raise FormatError(
+                f"{path}: tensor {name!r} has shape {dims}, which numpy cannot hold ({exc})"
+            ) from None
+        tensors[name] = arr.copy()
     n_meta = cur.u32()
     metadata: dict[str, str] = {}
     for _ in range(n_meta):

@@ -50,7 +50,6 @@ from .generator import (
     GeneratorMode,
     generate_sample,
     partition_subclasses,
-    relaxometry_mode,
 )
 from .labels import toy_label_map
 from .metrics import batch_evaluate, report_rows
@@ -95,15 +94,10 @@ def _read_subject(image_path: str, labels_path: str, on_hash=None) -> list:
     return volumes
 
 
-def _load_generation_config(args, sections=None) -> GenerationConfig:
-    """The --config file over the defaults, then the --seed, --mode and --profile flags.
-
-    ``sections`` are the file's parsed sections when the caller has read
-    it already; the file is then not read again.
-    """
-    if sections is None:
-        sections = read_sections(args.config) if args.config else {}
-    cfg = apply_sections(GenerationConfig(), sections)
+def _load_generation_config(args, cfg: GenerationConfig = GenerationConfig()) -> GenerationConfig:
+    """The --config file over ``cfg``, then the --seed, --mode and --profile flags."""
+    if args.config:
+        cfg = apply_sections(cfg, read_sections(args.config))
     if getattr(args, "seed", None) is not None:
         cfg = replace(cfg, master_seed=args.seed)
     if getattr(args, "mode", None):
@@ -389,11 +383,7 @@ def cmd_bench(args) -> int:
 
 def _parse_alphas(args) -> dict[str, float]:
     """The blend coefficients by sweep file name, checked before anything is read or written."""
-    if args.alpha is not None and args.alphas is not None:
-        raise ConfigError("pass either --alpha or --alphas, not both")
-    if args.alpha is not None:
-        alphas = [args.alpha]
-    elif args.alphas is None:
+    if args.alphas is None:
         alphas = list(DEFAULT_SWEEP)
     else:
         try:
@@ -468,10 +458,9 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_epg(args) -> int:
-    sections = read_sections(args.config) if args.config else {}
-    cfg = _load_generation_config(args, sections)
-    # the default mode renders randomized relaxometry; a Gaussian mode set in the file fails
-    if cfg.mode not in PHYSICS_MODES and "mode" in sections.get("synthgen", {}):
+    # epg starts from a physics mode, so only a Gaussian mode set in the file fails
+    cfg = _load_generation_config(args, GenerationConfig(mode=GeneratorMode.RANDFABIAN))
+    if cfg.mode not in PHYSICS_MODES:
         valid = ", ".join(m.value for m in PHYSICS_MODES)
         raise ConfigError(f"synthgen.mode: epg needs one of {valid}, got {cfg.mode.value!r}")
     if args.labels:
@@ -481,7 +470,8 @@ def cmd_epg(args) -> int:
     ids = [int(i) for i in np.unique(labels.data) if i != 0]
     seq = draw_sequence(cfg.sequence, make_stream(cfg.master_seed, 0, "sequence"))
     relax = sample_relaxometry(
-        relaxometry_mode(cfg.mode), cfg.relaxometry, ids, make_stream(cfg.master_seed, 0, "relaxometry")
+        cfg.relaxometry, ids, make_stream(cfg.master_seed, 0, "relaxometry"),
+        reference=cfg.mode is GeneratorMode.FABIAN,
     )
     image = render_epg_volume(labels, relax, seq, voxelwise=cfg.epg_voxelwise)
     write_nifti(image, args.out)
@@ -563,8 +553,7 @@ def build_parser() -> argparse.ArgumentParser:
     i = sub.add_parser("interpolate", help="blend two checkpoints")
     i.add_argument("a", help="first checkpoint (alpha 0)")
     i.add_argument("b", help="second checkpoint (alpha 1)")
-    i.add_argument("--alpha", type=float, help="single blend coefficient")
-    i.add_argument("--alphas", help="comma-separated sweep (default 0,0.2,0.5,0.8,1)")
+    i.add_argument("--alphas", help="comma-separated blend coefficients (default sweep 0,0.2,0.5,0.8,1)")
     i.add_argument("--out", required=True, help=".ckpt path for one alpha, directory for a sweep")
     i.set_defaults(func=cmd_interpolate)
 

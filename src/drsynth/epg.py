@@ -23,7 +23,6 @@ configuration defaults.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,11 +86,6 @@ class TissueRelaxometry:
             raise InvalidRelaxometry(f"proton density must be >= 0, got {self.pd}")
 
 
-class RelaxometryMode(enum.Enum):
-    REFERENCE = "reference"
-    RANDOMIZED = "randomized"
-
-
 @dataclass(frozen=True)
 class ReferenceInterval:
     """Per-class draw intervals for reference-mode relaxometry."""
@@ -145,17 +139,21 @@ def draw_sequence(ranges: SequenceRanges, rng: np.random.Generator) -> EpgSequen
 
 
 def sample_relaxometry(
-    mode: RelaxometryMode,
     ranges: RelaxometryRanges,
     class_ids,
     rng: np.random.Generator,
+    reference: bool = False,
 ) -> dict[int, TissueRelaxometry]:
-    """Draw one (T1, T2, pd) triple per class id, in ascending id order."""
+    """Draw one (T1, T2, pd) triple per class id, in ascending id order.
+
+    ``reference`` draws each class from its ``ranges.reference`` interval,
+    otherwise every class draws from the global randomized ranges.
+    """
     out: dict[int, TissueRelaxometry] = {}
     for cid in sorted(int(c) for c in class_ids):
         if cid == 0:
             continue
-        if mode is RelaxometryMode.REFERENCE:
+        if reference:
             iv = ranges.reference.get(cid)
             if iv is None:
                 raise MissingParams(f"no reference relaxometry interval for class {cid}")

@@ -26,12 +26,7 @@ import numpy as np
 from . import augment
 from .augment import AugmentProfile, draw_simple_plan
 from .config import GenerationConfig, GeneratorMode
-from .epg import (
-    RelaxometryMode,
-    draw_sequence,
-    render_epg_volume,
-    sample_relaxometry,
-)
+from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
 from .labels import NONBRAIN_META, SubclassPartition, build_meta_classes, split_meta_classes
 from .rng import make_stream
@@ -39,16 +34,6 @@ from .volume import LabelMap, LabelScheme, Volume3D, require_same_grid
 
 
 PHYSICS_MODES = (GeneratorMode.FABIAN, GeneratorMode.RANDFABIAN)
-
-
-@dataclass(frozen=True)
-class GmmParams:
-    """Per-subclass (mean, standard deviation) contrast parameters."""
-
-    by_id: dict[int, tuple[float, float]]
-
-    def ids(self) -> list[int]:
-        return sorted(self.by_id)
 
 
 @dataclass(frozen=True)
@@ -65,11 +50,12 @@ def sample_gmm_params(
     mu_range: tuple[float, float],
     sigma_range: tuple[float, float],
     rng: np.random.Generator,
-) -> GmmParams:
+) -> dict[int, tuple[float, float]]:
     """Draw mu ~ U(mu_range), sigma ~ U(sigma_range) per subclass id.
 
-    Ids are visited in ascending order; background id 0 is pinned to
-    (0, 0) without consuming draws.
+    Returns (mu, sigma) by subclass id, keyed in ascending order.  Ids are
+    drawn in that order; background id 0 is pinned to (0, 0) without
+    consuming draws.
     """
     for name, (lo, hi) in (("mu", mu_range), ("sigma", sigma_range)):
         if hi < lo:
@@ -81,25 +67,28 @@ def sample_gmm_params(
         mu = float(rng.uniform(*mu_range))
         sigma = float(rng.uniform(*sigma_range))
         by_id[sid] = (mu, sigma)
-    return GmmParams(by_id)
+    return by_id
 
 
-def render_intensities(label_map: LabelMap, params: GmmParams, rng: np.random.Generator) -> Volume3D:
+def render_intensities(
+    label_map: LabelMap, params: dict[int, tuple[float, float]], rng: np.random.Generator
+) -> Volume3D:
     """Render voxel intensities: value ~ N(mu_s, sigma_s^2), clamped at 0.
 
+    ``params`` maps each subclass id to its (mu, sigma).
     Every voxel draws independently; background (id 0) renders exactly 0.
     One standard-normal field covering the whole grid is drawn regardless
     of the partition, so the stream layout does not depend on anatomy.
     """
     ids = np.unique(label_map.data)
-    missing = [int(i) for i in ids if int(i) not in params.by_id]
+    missing = [int(i) for i in ids if int(i) not in params]
     if missing:
         raise MissingParams(f"no contrast parameters for subclass ids {missing}")
     top = int(ids.max()) if ids.size else 0
     mu_lut = np.zeros(top + 1, dtype=np.float32)
     sigma_lut = np.zeros(top + 1, dtype=np.float32)
     for sid in ids:
-        mu, sigma = params.by_id[int(sid)]
+        mu, sigma = params[int(sid)]
         mu_lut[sid] = mu
         sigma_lut[sid] = sigma
     z = rng.standard_normal(label_map.dims, dtype=np.float32)
@@ -135,11 +124,6 @@ def partition_subclasses(labels, intensity, cfg: GenerationConfig, rng) -> Subcl
         if cfg.nonbrain_k_range is not None:
             per_class = {NONBRAIN_META: cfg.nonbrain_k_range}
     return split_meta_classes(labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
-
-
-def relaxometry_mode(mode: GeneratorMode) -> RelaxometryMode:
-    """Reference intervals for FABIAN, randomized relaxometry otherwise."""
-    return RelaxometryMode.REFERENCE if mode is GeneratorMode.FABIAN else RelaxometryMode.RANDOMIZED
 
 
 class _StageClock:
@@ -221,7 +205,7 @@ def generate_sample(
     if cfg.mode in PHYSICS_MODES:
         seq = draw_sequence(cfg.sequence, stream("sequence"))
         relax = _subclass_relaxometry(
-            partition, relaxometry_mode(cfg.mode), cfg.relaxometry, stream("relaxometry")
+            partition, cfg.relaxometry, stream("relaxometry"), reference=cfg.mode is GeneratorMode.FABIAN
         )
         image = render_epg_volume(
             partition.subclass_map, relax, seq, voxelwise=cfg.epg_voxelwise
@@ -233,7 +217,7 @@ def generate_sample(
     else:
         params = sample_gmm_params(partition.ids(), cfg.mu_range, cfg.sigma_range, stream("gmm"))
         image = render_intensities(partition.subclass_map, params, stream("gmm_noise"))
-        drawn["gmm"] = {str(i): list(params.by_id[i]) for i in params.ids()}
+        drawn["gmm"] = {str(i): list(params[i]) for i in sorted(params)}
     del partition
     clock.lap("render")
 
@@ -272,18 +256,18 @@ def generate_sample(
     return SamplePair(image=image, labels=labels, drawn=drawn)
 
 
-def _subclass_relaxometry(partition, mode, ranges, rng):
+def _subclass_relaxometry(partition, ranges, rng, reference: bool):
     """Physics-mode draws happen per source class, shared by its subclasses.
 
     Reference intervals are declared per generation class (meta id); each
     subclass draws its own triple from its parent's interval, in subclass
     id order.
     """
-    reference = {
+    by_subclass = {
         sid: ranges.reference[cls]
         for sid, (cls, _) in partition.subclass_to_class.items()
         if cls in ranges.reference
     }
     # the randomized draw reads only the global ranges
-    return sample_relaxometry(mode, replace(ranges, reference=reference), partition.ids(), rng)
+    return sample_relaxometry(replace(ranges, reference=by_subclass), partition.ids(), rng, reference=reference)
 

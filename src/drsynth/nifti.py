@@ -65,7 +65,9 @@ def _gunzip(blob: bytes, path) -> bytes:
     if blob[:2] == b"\x1f\x8b":
         try:
             blob = gzip.decompress(blob)
-        except OSError as exc:
+        except EOFError as exc:
+            raise TruncatedFile(f"{path}: gzip stream ends before its end-of-stream marker") from exc
+        except (OSError, zlib.error) as exc:
             raise FormatError(f"bad gzip stream in {path}: {exc}") from exc
     return blob
 
@@ -189,7 +191,13 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
             if not np.isfinite(inter):
                 raise FormatError(f"scl_inter {inter} is not finite (scl_slope {slope})")
             if (slope, inter) != (1.0, 0.0):
-                out = data.astype(np.float64) * slope + inter
+                with np.errstate(over="ignore"):  # an overflow is rejected below, naming both fields
+                    out = (data.astype(np.float64) * slope + inter).astype(np.float32)
+                n_over = int(np.count_nonzero(np.isfinite(data) & ~np.isfinite(out)))
+                if n_over:
+                    raise FormatError(
+                        f"scl_slope {slope} and scl_inter {inter} scale {n_over} finite voxel(s) past float32"
+                    )
         return Volume3D(np.asarray(out, dtype=np.float32), spacing, affine)
 
 

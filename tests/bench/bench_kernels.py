@@ -34,7 +34,7 @@ from drsynth.augment import AffineRanges, ResolutionSim, SvfConfig, draw_affine,
 from drsynth.augment import draw_svf_control, gaussian_blur, integrate_velocity, simulate_resolution
 from drsynth.augment import svf_from_control
 from drsynth.augment import transform_coordinates, upsample_control_grid
-from drsynth.epg import RelaxometryMode, RelaxometryRanges, SequenceRanges, draw_sequence
+from drsynth.epg import RelaxometryRanges, SequenceRanges, draw_sequence
 from drsynth.epg import render_epg_volume, sample_relaxometry
 from drsynth.generator import GenerationConfig, generate_sample
 from drsynth.labels import em_cluster, toy_label_map
@@ -74,9 +74,7 @@ def test_render_epg_volume_voxelwise(benchmark, echo):
     labels = toy_label_map((64, 64, 64))
     drawn = draw_sequence(SequenceRanges(), make_stream(0, 0, "sequence"))
     seq = replace(drawn, te_eff_ms=echo * drawn.esp_ms)
-    relax = sample_relaxometry(
-        RelaxometryMode.RANDOMIZED, RelaxometryRanges(), range(1, 8), make_stream(0, 0, "relaxometry")
-    )
+    relax = sample_relaxometry(RelaxometryRanges(), range(1, 8), make_stream(0, 0, "relaxometry"))
     out = benchmark.pedantic(
         render_epg_volume, args=(labels, relax, seq), kwargs={"voxelwise": True}, rounds=5, warmup_rounds=1
     )

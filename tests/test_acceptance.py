@@ -148,7 +148,7 @@ def test_c05_rendered_statistics_match_drawn_parameters():
         params = sample_gmm_params([1, 2, 3, 4], (80.0, 255.0), (1.0, 8.0), np.random.default_rng(9700 + seed))
         image = render_intensities(labels, params, np.random.default_rng(9800 + seed))
         for sid in (1, 2, 3, 4):
-            mu, sigma = params.by_id[sid]
+            mu, sigma = params[sid]
             vals = image.data[labels.data == sid].astype(np.float64)
             assert abs(vals.mean() - mu) <= 4.0 * sigma / math.sqrt(n)
             assert abs(vals.std() - sigma) <= 0.05 * sigma

@@ -1,3 +1,4 @@
+import re
 import struct
 
 import numpy as np
@@ -128,6 +129,28 @@ def test_duplicate_tensor_names_rejected(tmp_path):
     p.write_bytes(blob)
     with pytest.raises(DuplicateTensor):
         read_checkpoint(p)
+
+
+def empty_tensor_blob(dims):
+    """A checkpoint holding one tensor "e" of ``dims`` (one of them 0, so no payload)."""
+    head = struct.pack("<I", 1) + b"e" + struct.pack("<B", len(dims)) + struct.pack(f"<{len(dims)}Q", *dims)
+    return MAGIC + struct.pack("<I", 1) + head + struct.pack("<I", 0)
+
+
+@pytest.mark.parametrize("dims", [(0, 2**62), (2**63, 0), (0,) * 65], ids=["huge-dim", "huge-first", "rank-65"])
+def test_an_empty_tensor_numpy_cannot_hold_is_a_format_error(tmp_path, dims):
+    # count is 0, so the payload check passes; the shape itself is the fault
+    p = tmp_path / "e.ckpt"
+    p.write_bytes(empty_tensor_blob(dims))
+    with pytest.raises(FormatError, match=f"^{re.escape(str(p))}: tensor 'e' has shape"):
+        read_checkpoint(p)
+
+
+def test_an_empty_tensor_with_a_large_dim_round_trips(tmp_path):
+    p = tmp_path / "e.ckpt"
+    write_checkpoint(Checkpoint({"e": np.zeros((0, 1000), np.float32)}), p)
+    assert p.read_bytes() == empty_tensor_blob((0, 1000))
+    assert read_checkpoint(p).tensors["e"].shape == (0, 1000)
 
 
 def test_missing_file_is_io_error(tmp_path):

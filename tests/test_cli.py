@@ -427,6 +427,55 @@ def test_error_lines_are_machine_parsable(tmp_path, capsys):
     assert err.startswith("error: ConfigError:")
 
 
+def test_an_os_error_is_one_io_error_line(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(8, 8, 8))
+    taken = tmp_path / "taken"
+    taken.write_text("a regular file, not a directory\n")
+    code, stdout, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(taken))
+    assert code == 1 and stdout == ""
+    assert err.startswith("error: IoError: ") and str(taken) in err and err.count("\n") == 1
+
+
+def subjects_with_a_truncated_image(tmp_path):
+    """An input directory with subject "good" and subject "bad", whose _image.nii.gz is cut in half."""
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "good", dims=(12, 12, 12))
+    img, _ = write_subject(in_dir, "bad", dims=(12, 12, 12))
+    with open(img, "rb") as fh:
+        blob = fh.read()
+    with open(img, "wb") as fh:
+        fh.write(blob[: len(blob) // 2])
+    return in_dir, img
+
+
+def test_a_truncated_gzip_input_is_one_error_line(tmp_path, capsys):
+    in_dir, img = subjects_with_a_truncated_image(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--config", small_ini(tmp_path), "--in", str(in_dir), "--out", str(out_dir))
+    assert code == 1
+    assert err == (
+        f"error: TruncatedFile: subject 'bad' sample 0: {img}: gzip stream ends before its end-of-stream marker\n"
+    )
+
+
+def test_skip_unreadable_skips_a_truncated_gzip_input(tmp_path, capsys):
+    in_dir, img = subjects_with_a_truncated_image(tmp_path)
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys,
+        "generate", "--config", small_ini(tmp_path), "--in", str(in_dir),
+        "--out", str(out_dir), "--count", "2", "--skip-unreadable",
+    )
+    assert code == 0, err
+    assert err == (
+        f"warning: subject 'bad' unreadable ({img}: gzip stream ends before its end-of-stream marker), skipping\n"
+    )
+    assert {name.split("_s")[0] for name in os.listdir(out_dir)} == {"good"}
+
+
 @pytest.mark.parametrize(
     "argv",
     [
@@ -715,6 +764,7 @@ def write_pair_of_checkpoints(tmp_path):
 def test_interpolate_single_alpha_writes_one_file(tmp_path, capsys):
     pa, pb = write_pair_of_checkpoints(tmp_path)
     out = tmp_path / "mid.ckpt"
+    # "--alpha" is argparse's unambiguous prefix of --alphas, so the old spelling still works
     code, stdout, err = run(capsys, "interpolate", pa, pb, "--alpha", "0.25", "--out", str(out))
     assert code == 0, err
     assert "alpha 0.25" in stdout
@@ -739,21 +789,15 @@ def test_interpolate_custom_alphas(tmp_path, capsys):
     assert sorted(os.listdir(out)) == ["alpha_0.5.ckpt", "alpha_0.ckpt", "alpha_1.ckpt"]
 
 
-def test_interpolate_flag_conflicts_and_bad_values(tmp_path, capsys):
+def test_interpolate_rejects_bad_alpha_values(tmp_path, capsys):
     pa, pb = write_pair_of_checkpoints(tmp_path)
-    code, _, err = run(
-        capsys, "interpolate", pa, pb, "--alpha", "0.5", "--alphas", "0,1", "--out", str(tmp_path / "x")
-    )
-    assert code == 1 and err.startswith("error: ConfigError:")
     code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", "0,zebra", "--out", str(tmp_path / "x"))
     assert code == 1 and err.startswith("error: ConfigError:")
     for empty in ("", ",", " "):
         code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", empty, "--out", str(tmp_path / "x"))
         assert code == 1 and err.startswith("error: ConfigError: --alphas: no values")
     assert not (tmp_path / "x").exists()
-    code, _, err = run(
-        capsys, "interpolate", pa, pb, "--alpha", "1.5", "--out", str(tmp_path / "x.ckpt")
-    )
+    code, _, err = run(capsys, "interpolate", pa, pb, "--alphas", "1.5", "--out", str(tmp_path / "x.ckpt"))
     assert code == 1 and err.startswith("error: InvalidAlpha:")
 
 

@@ -9,7 +9,6 @@ from drsynth import epg
 from drsynth.epg import (
     EpgSequenceParams,
     ReferenceInterval,
-    RelaxometryMode,
     RelaxometryRanges,
     SequenceRanges,
     TissueRelaxometry,
@@ -179,19 +178,19 @@ def test_reference_relaxometry_draws_inside_intervals(rng):
             2: ReferenceInterval((2800.0, 3300.0), (1100.0, 2000.0), pd=(0.9, 1.0)),
         }
     )
-    table = sample_relaxometry(RelaxometryMode.REFERENCE, ranges, [0, 1, 2], rng)
+    table = sample_relaxometry(ranges, [0, 1, 2], rng, reference=True)
     assert set(table) == {1, 2}
     assert 1500.0 <= table[1].t1_ms <= 1900.0
     assert 100.0 <= table[1].t2_ms <= 200.0
     assert table[1].pd == 1.0
     assert 0.9 <= table[2].pd <= 1.0
     with pytest.raises(MissingParams):
-        sample_relaxometry(RelaxometryMode.REFERENCE, ranges, [1, 2, 3], rng)
+        sample_relaxometry(ranges, [1, 2, 3], rng, reference=True)
 
 
 def test_randomized_relaxometry_uses_global_ranges(rng):
     ranges = RelaxometryRanges()
-    table = sample_relaxometry(RelaxometryMode.RANDOMIZED, ranges, [2, 1], rng)
+    table = sample_relaxometry(ranges, [2, 1], rng)
     for relax in table.values():
         assert 100.0 <= relax.t1_ms <= 5000.0
         assert 10.0 <= relax.t2_ms <= 2000.0
@@ -200,8 +199,8 @@ def test_randomized_relaxometry_uses_global_ranges(rng):
 
 def test_relaxometry_draws_in_ascending_id_order(rng):
     ranges = RelaxometryRanges()
-    a = sample_relaxometry(RelaxometryMode.RANDOMIZED, ranges, [3, 1, 2], np.random.default_rng(7))
-    b = sample_relaxometry(RelaxometryMode.RANDOMIZED, ranges, [1, 2, 3], np.random.default_rng(7))
+    a = sample_relaxometry(ranges, [3, 1, 2], np.random.default_rng(7))
+    b = sample_relaxometry(ranges, [1, 2, 3], np.random.default_rng(7))
     assert a == b
 
 

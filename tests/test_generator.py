@@ -9,7 +9,6 @@ from drsynth.errors import EmptySample, InvalidRange, MissingParams, NonFiniteIn
 from drsynth.generator import (
     GenerationConfig,
     GeneratorMode,
-    GmmParams,
     generate_sample,
     partition_subclasses,
     render_intensities,
@@ -41,10 +40,10 @@ def small_config(**kw):
 
 def test_gmm_params_pin_background_and_sort_ids(rng):
     params = sample_gmm_params([3, 1, 0, 2], (10.0, 20.0), (1.0, 2.0), rng)
-    assert params.by_id[0] == (0.0, 0.0)
-    assert params.ids() == [0, 1, 2, 3]
+    assert params[0] == (0.0, 0.0)
+    assert list(params) == [0, 1, 2, 3]
     for sid in (1, 2, 3):
-        mu, sigma = params.by_id[sid]
+        mu, sigma = params[sid]
         assert 10.0 <= mu <= 20.0
         assert 1.0 <= sigma <= 2.0
 
@@ -52,7 +51,7 @@ def test_gmm_params_pin_background_and_sort_ids(rng):
 def test_gmm_params_order_independent():
     a = sample_gmm_params([3, 1, 2], (0, 255), (0, 35), np.random.default_rng(5))
     b = sample_gmm_params([1, 2, 3], (0, 255), (0, 35), np.random.default_rng(5))
-    assert a.by_id == b.by_id
+    assert a == b
 
 
 def test_gmm_params_reject_inverted_ranges(rng):
@@ -71,7 +70,7 @@ def two_region_map():
 
 def test_render_intensities_exact_at_zero_sigma(rng):
     lm = two_region_map()
-    params = GmmParams({0: (0.0, 0.0), 1: (40.0, 0.0), 2: (90.0, 0.0)})
+    params = {0: (0.0, 0.0), 1: (40.0, 0.0), 2: (90.0, 0.0)}
     vol = render_intensities(lm, params, rng)
     np.testing.assert_array_equal(vol.data[lm.data == 1], 40.0)
     np.testing.assert_array_equal(vol.data[lm.data == 2], 90.0)
@@ -80,7 +79,7 @@ def test_render_intensities_exact_at_zero_sigma(rng):
 
 def test_render_intensities_clamps_below_zero(rng):
     lm = two_region_map()
-    params = GmmParams({0: (0.0, 0.0), 1: (0.0, 5.0), 2: (200.0, 1.0)})
+    params = {0: (0.0, 0.0), 1: (0.0, 5.0), 2: (200.0, 1.0)}
     vol = render_intensities(lm, params, rng)
     assert vol.data.min() == 0.0
     assert (vol.data[lm.data == 1] == 0.0).mean() == pytest.approx(0.5, abs=0.05)
@@ -91,7 +90,7 @@ def test_render_noise_field_ignores_anatomy():
     # so relabeling a region cannot shift another region's values
     lm = two_region_map()
     moved = LabelMap(np.where(lm.data == 2, 5, lm.data), (1, 1, 1), LabelScheme.SUBCLASS)
-    params = GmmParams({0: (0.0, 0.0), 1: (40.0, 3.0), 2: (90.0, 3.0), 5: (90.0, 3.0)})
+    params = {0: (0.0, 0.0), 1: (40.0, 3.0), 2: (90.0, 3.0), 5: (90.0, 3.0)}
     a = render_intensities(lm, params, np.random.default_rng(11))
     b = render_intensities(moved, params, np.random.default_rng(11))
     np.testing.assert_array_equal(a.data, b.data)
@@ -100,7 +99,7 @@ def test_render_noise_field_ignores_anatomy():
 def test_render_intensities_requires_params(rng):
     lm = two_region_map()
     with pytest.raises(MissingParams):
-        render_intensities(lm, GmmParams({0: (0.0, 0.0), 1: (40.0, 1.0)}), rng)
+        render_intensities(lm, {0: (0.0, 0.0), 1: (40.0, 1.0)}, rng)
 
 
 def test_generation_labels_by_mode(subject):

@@ -2,6 +2,7 @@ import gzip
 import hashlib
 import re
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -210,6 +211,65 @@ def test_truncated_header_and_payload(tmp_path):
     short.write_bytes(blob[:-10])
     with pytest.raises(TruncatedFile):
         read_nifti(short)
+
+
+def test_a_truncated_gzip_stream_is_a_truncated_file(tmp_path):
+    p = tmp_path / "v.nii.gz"
+    write_nifti(tricky_volume(), p)
+    blob = p.read_bytes()
+    p.write_bytes(blob[: len(blob) // 2])
+    with pytest.raises(TruncatedFile, match=f"^{re.escape(str(p))}: gzip stream ends before"):
+        read_nifti(p)
+
+
+def test_a_corrupt_deflate_block_is_a_format_error(tmp_path):
+    p = tmp_path / "v.nii.gz"
+    write_nifti(tricky_volume(), p)
+    blob = bytearray(p.read_bytes())
+    blob[10] = 0b111  # the first deflate block: final, of the reserved type 3
+    p.write_bytes(bytes(blob))
+    with pytest.raises(FormatError, match=f"^bad gzip stream in {re.escape(str(p))}: .*invalid block type"):
+        read_nifti(p)
+
+
+def test_a_damaged_img_gz_sibling_names_the_img_file(tmp_path):
+    vol = tricky_volume()
+    single = tmp_path / "v.nii"
+    write_nifti(vol, single)
+    hdr = bytearray(single.read_bytes()[:HEADER_SIZE])
+    struct.pack_into("<4s", hdr, OFF_MAGIC, b"ni1\x00")
+    (tmp_path / "pair.hdr").write_bytes(bytes(hdr))
+    img = tmp_path / "pair.img.gz"
+    packed = gzip.compress(vol.data.tobytes(order="F"), mtime=0)
+    img.write_bytes(packed[:-12])
+    with pytest.raises(TruncatedFile, match=f"^{re.escape(str(img))}: gzip stream ends before"):
+        read_nifti(tmp_path / "pair.hdr")
+    img.write_bytes(packed[:10] + b"\x07" + packed[11:])
+    with pytest.raises(FormatError, match=f"^bad gzip stream in {re.escape(str(img))}"):
+        read_nifti(tmp_path / "pair.hdr")
+
+
+def test_scaling_past_float32_is_rejected_naming_both_fields(tmp_path):
+    p = tmp_path / "v.nii"
+    write_nifti(Volume3D(np.full((3, 4, 5), 10.0, np.float32), (1, 1, 1)), p)
+    patch(p, OFF_SCL_SLOPE, "ff", 3e38, 0.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be a second report
+        want = f"^{re.escape(str(p))}: scl_slope .* and scl_inter 0.0 scale 60 finite voxel"
+        with pytest.raises(FormatError, match=want):
+            read_nifti(p)
+
+
+def test_scaling_keeps_non_finite_voxels_stored_on_disk(tmp_path):
+    vol = tricky_volume()
+    p = tmp_path / "v.nii"
+    write_nifti(vol, p)
+    patch(p, OFF_SCL_SLOPE, "ff", 2.0, 1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_nifti(p).data
+    np.testing.assert_array_equal(back, (vol.data.astype(np.float64) * 2.0 + 1.0).astype(np.float32))
+    assert np.isnan(back.flat[0]) and back.flat[1] == np.inf and back.flat[2] == -np.inf
 
 
 def test_unsupported_datatype_code(tmp_path):
