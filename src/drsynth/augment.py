@@ -116,9 +116,10 @@ def _axis_ramp(n: int, axis: int) -> np.ndarray:
     return np.arange(n, dtype=np.float32).reshape(shape)
 
 
-# Output values per block of _separable_linear, and voxels per block of
-# transform_coordinates' affine: a block's scratch stays in cache, and no
-# full-size scratch is made.
+# Output values per block of _separable_linear, voxels per block of
+# transform_coordinates' affine and coarse voxels per tile of
+# simulate_resolution's downsample: a block's scratch stays in cache, and
+# no full-size scratch is made.
 _LINEAR_BLOCK = 1 << 16
 
 
@@ -597,7 +598,10 @@ def simulate_resolution(vol: Volume3D, target_spacing) -> Volume3D:
     least 1) and covers the same extent as the source: coarse voxel g sits
     at source coordinate g * scale + shift with scale = target / source,
     so source voxel v sits at coarse coordinate (v + 0.5) / scale - 0.5.
-    Both samplings replicate the edge.
+    Both samplings replicate the edge.  The coarse grid is sampled a tile
+    of whole x-planes (about ``_LINEAR_BLOCK`` voxels) at a time, so its
+    coordinates are never held as one dense array; each point samples on
+    its own, so the tiles change no bit.
     """
     src = np.asarray(vol.spacing, dtype=np.float64)
     tgt = np.maximum(np.asarray(target_spacing, dtype=np.float64), src)
@@ -608,7 +612,11 @@ def simulate_resolution(vol: Volume3D, target_spacing) -> Volume3D:
     scale = tgt / src
     shift = 0.5 * scale - 0.5
     axes = [np.arange(n) * s + h for n, s, h in zip(low_dims, scale, shift)]
-    low = sample_at_voxels(blurred.data, np.stack(np.broadcast_arrays(*np.ix_(*axes))), "clamp")
+    low = np.empty(tuple(low_dims), dtype=blurred.data.dtype)
+    rows = max(1, _LINEAR_BLOCK // int(low_dims[1] * low_dims[2]))
+    for a in range(0, low.shape[0], rows):
+        tile = np.stack(np.broadcast_arrays(*np.ix_(axes[0][a : a + rows], *axes[1:])))
+        sample_at_voxels(blurred.data, tile, "clamp", out=low[a : a + rows])
     del blurred
     positions = [(np.arange(n) + 0.5) * s - 0.5 for n, s in zip(vol.dims, src / tgt)]
     return vol.with_data(_separable_linear(low.astype(np.float64), positions, np.float32))

@@ -216,7 +216,9 @@ def _fmt(value) -> str:
 # order is the order keys are written and checked.  A key ending in "_" is a
 # per-class family over a dict attribute: "reference_3" holds entry 3.
 # The one bound that spans keys (TE_eff within [esp, etl * esp]) is checked
-# by check_config after the rows.
+# by check_config after the rows.  The count keys svf_control_points,
+# svf_steps and bias_control_points have an upper bound too (README gives
+# the reasons), so an absurd count fails here and not inside numpy.
 _FIELDS = (
     ("synthgen", "mode", "mode", *_enum(GeneratorMode)),
     ("synthgen", "profile", "profile", *_enum(AugmentProfile)),
@@ -229,10 +231,10 @@ _FIELDS = (
     ("augment", "scale_delta", "affine.scale_delta", *_num(lo=0, hi=1, hi_open=True)),
     ("augment", "translation_mm", "affine.translation_mm", *_NONNEG),
     ("augment", "shear", "affine.shear", *_NONNEG),
-    ("augment", "svf_control_points", "svf.control_points", *_num(1, _int, lo=1)),
+    ("augment", "svf_control_points", "svf.control_points", *_num(1, _int, lo=1, hi=64)),
     ("augment", "svf_sigma_vox", "svf.sigma_vox", *_NONNEG),
-    ("augment", "svf_steps", "svf.integration_steps", *_num(1, _int, lo=0)),
-    ("augment", "bias_control_points", "corruption.bias_control_points", *_num(1, _int, lo=1)),
+    ("augment", "svf_steps", "svf.integration_steps", *_num(1, _int, lo=0, hi=32)),
+    ("augment", "bias_control_points", "corruption.bias_control_points", *_num(1, _int, lo=1, hi=32)),
     ("augment", "bias_log_sigma", "corruption.bias_log_sigma", *_NONNEG),
     ("augment", "gamma", "corruption.gamma_range", *_POS_PAIR),
     ("augment", "noise_sigma", "corruption.noise_sigma_range", *_NONNEG_PAIR),

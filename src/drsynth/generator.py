@@ -157,7 +157,10 @@ def generate_sample(
     NonFiniteIntensity; anatomy deformed fully out of the field of view
     yields an all-zero (still valid) sample.  A caller that passes its only
     references to ``labels`` and ``intensity`` (as ``cli._render_task``
-    does) lets the sample free them once they are warped.
+    does) lets the sample free them once they are warped.  The warp makes
+    no volume-sized buffer beyond the grid and the warped labels: the
+    labels are warped first, then the intensity into the grid's spent
+    x-channel, which is copied out once the source is gone.
     """
     if labels.scheme is not LabelScheme.FETA7:
         raise InvalidRange(f"generation expects feta7 labels, got {labels.scheme.value}")
@@ -191,7 +194,11 @@ def generate_sample(
         coords = augment.transform_coordinates(labels.dims, labels.spacing, affine, svf, out=grid)
         del svf, grid
         labels = labels.with_data(augment.sample_at_voxels(labels.data, coords))
-        intensity = intensity.with_data(augment.sample_at_voxels(intensity.data, coords))
+        # The labels are warped, so the grid's x-channel is read only by the
+        # intensity warp, which writes each chunk behind its own reads.  The
+        # source goes once it is warped, and the copy out lets the grid go.
+        intensity = intensity.with_data(augment.sample_at_voxels(intensity.data, coords, out=coords[0]))
+        intensity = intensity.with_data(intensity.data.copy())
         del coords
     clock.lap("deform")
 

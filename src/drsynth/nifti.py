@@ -124,7 +124,9 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
     required on disk; float data is accepted only when every value is
     integral), which stores the labels in the narrowest unsigned type that
     holds their largest value.  Without one the result is a Volume3D with values cast to
-    float32 and intensity scaling applied.  ``raw`` is the file's bytes
+    float32 and intensity scaling applied; a voxel finite on disk that
+    scaling, or the cast of float64 data, takes past float32 raises
+    FormatError.  ``raw`` is the file's bytes
     when the caller has read them already (to hash what it decodes); the
     file is then not read again, and ``path`` names it in errors.
     """
@@ -186,19 +188,24 @@ def read_nifti(path, scheme: LabelScheme | None = None, raw: bytes | None = None
             return LabelMap(data, spacing, scheme, affine)
 
         slope, inter = float(hdr["scl_slope"]), float(hdr["scl_inter"])
-        out = data
-        if slope != 0.0 and np.isfinite(slope):  # NIfTI-1: a zero or non-finite slope leaves data unscaled
-            if not np.isfinite(inter):
-                raise FormatError(f"scl_inter {inter} is not finite (scl_slope {slope})")
-            if (slope, inter) != (1.0, 0.0):
-                with np.errstate(over="ignore"):  # an overflow is rejected below, naming both fields
-                    out = (data.astype(np.float64) * slope + inter).astype(np.float32)
-                n_over = int(np.count_nonzero(np.isfinite(data) & ~np.isfinite(out)))
-                if n_over:
-                    raise FormatError(
-                        f"scl_slope {slope} and scl_inter {inter} scale {n_over} finite voxel(s) past float32"
-                    )
-        return Volume3D(np.asarray(out, dtype=np.float32), spacing, affine)
+        scaled = slope != 0.0 and np.isfinite(slope)  # NIfTI-1: a zero or non-finite slope leaves data unscaled
+        if scaled and not np.isfinite(inter):
+            raise FormatError(f"scl_inter {inter} is not finite (scl_slope {slope})")
+        # an overflow is rejected below, naming its cause
+        if scaled and (slope, inter) != (1.0, 0.0):
+            cause = f"scl_slope {slope} and scl_inter {inter} scale"
+            with np.errstate(over="ignore"):
+                out = (data.astype(np.float64) * slope + inter).astype(np.float32)
+        elif data.dtype == np.float64:
+            cause = "float64 data holds"
+            with np.errstate(over="ignore"):
+                out = data.astype(np.float32)
+        else:  # every other stored type fits float32's range
+            return Volume3D(np.asarray(data, dtype=np.float32), spacing, affine)
+        n_over = int(np.count_nonzero(np.isfinite(data) & ~np.isfinite(out)))
+        if n_over:
+            raise FormatError(f"{cause} {n_over} finite voxel(s) past float32")
+        return Volume3D(out, spacing, affine)
 
 
 def _pack_header(shape, spacing, affine, code, bitpix) -> bytes:

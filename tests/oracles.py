@@ -56,6 +56,40 @@ def sample_nearest(data: np.ndarray, coord, oob: str = "zero") -> float:
     return 0.0
 
 
+def simulate_resolution_dense_ref(data: np.ndarray, spacing, target) -> np.ndarray:
+    """Resolution simulation with its coarse grid sampled in one dense call.
+
+    scipy's gaussian_filter1d blurs (mode "nearest", truncate 3), one
+    map_coordinates call (order 1, mode "nearest") samples the whole dense
+    (3, ...) coarse grid, and the way back lerps one axis at a time in
+    float64, lo * w0 + hi * w1 with w0 = 1 - w1, before one float32 cast.
+    """
+    from scipy.ndimage import gaussian_filter1d, map_coordinates
+
+    src = np.asarray(spacing, dtype=np.float64)
+    tgt = np.maximum(np.asarray(target, dtype=np.float64), src)
+    sigma_vox = np.maximum(tgt - src, 0.0) / (2.0 * np.sqrt(2.0 * np.log(2.0))) / src
+    blurred = data
+    for axis, s in enumerate(sigma_vox):
+        if s > 1e-8:
+            blurred = gaussian_filter1d(blurred, s, axis=axis, mode="nearest", truncate=3.0)
+    low_dims = np.maximum(np.ceil(np.asarray(data.shape) * src / tgt - 1e-9).astype(int), 1)
+    scale = tgt / src
+    axes = [np.arange(n) * s + (0.5 * s - 0.5) for n, s in zip(low_dims, scale)]
+    grid = np.stack(np.meshgrid(*axes, indexing="ij"))
+    out = map_coordinates(blurred, grid, order=1, mode="nearest").astype(np.float64)
+    for axis, (n_out, s) in enumerate(zip(data.shape, src / tgt)):
+        n_in = out.shape[axis]
+        pos = np.clip((np.arange(n_out) + 0.5) * s - 0.5, 0.0, n_in - 1.0)
+        i0 = np.minimum(pos.astype(np.int64), max(n_in - 2, 0))
+        w1 = pos - i0
+        shape = [1, 1, 1]
+        shape[axis] = n_out
+        lo = np.take(out, i0, axis=axis) * (1.0 - w1).reshape(shape)
+        out = lo + np.take(out, np.minimum(i0 + 1, n_in - 1), axis=axis) * w1.reshape(shape)
+    return out.astype(np.float32)
+
+
 def _lerp(a, b, f):
     return a + (b - a) * f
 

@@ -326,6 +326,22 @@ def test_sidecar_rerenders_bit_exactly(tmp_path, capsys):
     assert pair.labels.data.tobytes() == labels.data.tobytes()
 
 
+@pytest.mark.parametrize("key", ["svf_control_points", "bias_control_points", "svf_steps"])
+def test_replay_of_a_sidecar_with_an_absurd_count_names_the_key(tmp_path, capsys, key):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(12, 12, 12))
+    out_dir = tmp_path / "out"
+    code, _, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(out_dir), "--count", "1")
+    assert code == 0, err
+    sidecar, = out_dir.glob("*.json")
+    record = json.loads(sidecar.read_text())
+    record["config"]["augment"][key] = "99999999999999999999"
+    sidecar.write_text(json.dumps(record))
+    with pytest.raises(ConfigError, match=f"^augment.{key}: must be >= "):
+        render_from_sidecar(str(sidecar))
+
+
 def test_replay_of_a_missing_sidecar_is_an_io_error(tmp_path):
     p = tmp_path / "absent.json"
     with pytest.raises(IoError, match=re.escape(f"cannot read {p}: ")):
@@ -505,6 +521,9 @@ def test_counts_below_one_are_config_errors(tmp_path, capsys, argv):
         "subclasses = 0, 3", "subclasses = 3, 1", "svf_control_points = 0", "svf_steps = -1",
         "sigma = -5, -1", "op_probability = 7", "noise_sigma = -0.5, -0.4", "mu = 5, 1",
         "t2_ms = -5, -1", "master_seed = -2", "mu = 0, inf", "te_eff_ms = 1, 2",
+        # counts that once reached numpy: a ValueError for the grids, a MemoryError for 2**steps
+        "svf_control_points = 99999999999999999999", "bias_control_points = 99999999999999999999",
+        "svf_steps = 99999999999999999999",
     ],
 )
 def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
@@ -512,7 +531,7 @@ def test_out_of_range_config_values_fail_at_load(tmp_path, capsys, line):
     in_dir.mkdir()
     write_subject(in_dir, "toy", dims=(12, 12, 12))
     key = line.split(" = ")[0]
-    augment = ("svf_control_points", "svf_steps", "op_probability", "noise_sigma")
+    augment = ("svf_control_points", "bias_control_points", "svf_steps", "op_probability", "noise_sigma")
     section = "augment" if key in augment else "epg" if key in ("t2_ms", "te_eff_ms") else "synthgen"
     cfg = tmp_path / "bad.ini"
     cfg.write_text(f"[{section}]\n{line}\n")

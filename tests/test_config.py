@@ -130,10 +130,10 @@ DOMAINS = [
     ("augment", "scale_delta", ["-0.1", "1"], ["0", "0.99"]),
     ("augment", "translation_mm", ["-1"], ["0"]),
     ("augment", "shear", ["-0.1"], ["0"]),
-    ("augment", "svf_control_points", ["0"], ["1"]),
+    ("augment", "svf_control_points", ["0", "65", "99999999999999999999"], ["1", "64"]),
     ("augment", "svf_sigma_vox", ["-0.1"], ["0"]),
-    ("augment", "svf_steps", ["-1"], ["0"]),
-    ("augment", "bias_control_points", ["0"], ["1"]),
+    ("augment", "svf_steps", ["-1", "33", "99999999999999999999"], ["0", "32"]),
+    ("augment", "bias_control_points", ["0", "33", "99999999999999999999"], ["1", "32"]),
     ("augment", "bias_log_sigma", ["-0.1"], ["0"]),
     ("augment", "gamma", ["0, 1", "2, 1"], ["0.01, 1"]),
     ("augment", "noise_sigma", ["-0.5, -0.4"], ["0, 0"]),

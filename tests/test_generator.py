@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from drsynth import generator
 from drsynth.augment import AffineRanges, AugmentProfile, CorruptionConfig
 from drsynth.epg import ReferenceInterval, RelaxometryRanges
 from drsynth.errors import EmptySample, InvalidRange, MissingParams, NonFiniteIntensity
@@ -312,3 +313,36 @@ def test_a_sample_holds_only_live_volumes(index):
     generate_sample(labels, intensity, cfg, 0)  # the first call in a process traces one-time set-up
     peak = traced_peak(generate_sample, labels, intensity, cfg, index)
     assert peak < 14 * intensity.data.nbytes
+
+
+class _DeformDone(Exception):
+    pass
+
+
+@pytest.mark.parametrize("index", [1, 2])
+def test_the_warp_adds_only_the_grid_and_the_warped_volumes(monkeypatch, index):
+    # The deform stage of a sample whose inputs are handed over, traced from
+    # the call to the end of the stage.  It makes the velocity field, which
+    # becomes the warp grid, the warped labels, and the intensity warped into
+    # the grid's spent x-channel and copied out; the rest is chunk scratch.
+    # The inputs were made before tracing began, so freeing them does not
+    # lower the figure.  A padded copy of the source (3.6 MiB at 96^3) or a
+    # warped intensity of its own next to the grid breaks the bound: the
+    # sampler that padded its source peaked at grid + 10.7 MiB, this one at 4.2.
+    labels, intensity = make_subject((96, 96, 96))
+    cfg = GenerationConfig(mode=GeneratorMode.FETALSYNTHSEG, profile=AugmentProfile.SYNTHSEG_FULL)
+    generate_sample(labels, intensity, cfg, 0)  # the first call in a process traces one-time set-up
+    grid, source, warped = 3 * intensity.data.nbytes, intensity.data.nbytes, labels.data.nbytes
+    subject = [labels, intensity]
+    del labels, intensity
+
+    def stop(*args, **kwargs):
+        raise _DeformDone
+
+    def deform():
+        with pytest.raises(_DeformDone):
+            generate_sample(subject.pop(0), subject.pop(0), cfg, index)
+
+    monkeypatch.setattr(generator, "partition_subclasses", stop)
+    peak = traced_peak(deform)
+    assert peak < grid + source + warped + (1 << 20)

@@ -260,6 +260,37 @@ def test_scaling_past_float32_is_rejected_naming_both_fields(tmp_path):
             read_nifti(p)
 
 
+def write_float64_nii(path, values):
+    """An unscaled float64 .nii of ``values``: a float32 file's header, retyped."""
+    write_nifti(Volume3D(np.zeros(values.shape, np.float32), (1, 1, 1)), path)
+    header = bytearray(path.read_bytes()[:352])
+    struct.pack_into("<hh", header, OFF_DATATYPE, 64, 64)  # datatype, then bitpix
+    path.write_bytes(bytes(header) + np.asarray(values, "<f8").tobytes(order="F"))
+
+
+def test_float64_voxels_past_float32_are_rejected_naming_the_file(tmp_path):
+    values = np.full((3, 4, 5), 2.5)
+    values[1, 2, 3], values[0, 0, 0] = 1e300, -1e300
+    p = tmp_path / "v.nii"
+    write_float64_nii(p, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # numpy's overflow warning would be a second report
+        want = f"^{re.escape(str(p))}: float64 data holds 2 finite voxel\\(s\\) past float32$"
+        with pytest.raises(FormatError, match=want):
+            read_nifti(p)
+
+
+def test_float64_voxels_within_float32_read_as_their_cast(tmp_path):
+    values = np.zeros((3, 4, 5))
+    values.flat[:7] = [np.nan, np.inf, -np.inf, -0.0, 3.4e38, 1e-300, -2.5]
+    p = tmp_path / "v.nii"
+    write_float64_nii(p, values)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = read_nifti(p).data
+    assert back.tobytes() == values.astype(np.float32).tobytes()
+
+
 def test_scaling_keeps_non_finite_voxels_stored_on_disk(tmp_path):
     vol = tricky_volume()
     p = tmp_path / "v.nii"

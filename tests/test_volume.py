@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from drsynth import augment
+from drsynth import augment, volume
 from drsynth.augment import simulate_resolution
 from drsynth.errors import GeometryError, UnknownLabel
 from drsynth.volume import (
@@ -15,7 +15,7 @@ from drsynth.volume import (
 )
 
 from conftest import traced_peak
-from oracles import sample_nearest, sample_trilinear
+from oracles import sample_nearest, sample_trilinear, simulate_resolution_dense_ref
 
 
 def test_volume_freezes_data_as_float32():
@@ -145,18 +145,19 @@ def test_sample_at_integer_coords_is_exact(rng):
 
 
 def _coarse_samples(vol, target):
-    """(coords, values) of simulate_resolution's downsample of ``vol``."""
+    """(coords, values) of simulate_resolution's downsample of ``vol``, its tiles joined."""
     seen = []
 
-    def spy(data, coords, oob="zero"):
-        seen.append((coords, sample_at_voxels(data, coords, oob)))
-        return seen[-1][1]
+    def spy(data, coords, oob="zero", out=None):
+        values = sample_at_voxels(data, coords, oob, out=out)
+        seen.append((coords.copy(), values.copy()))
+        return values
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(augment, "sample_at_voxels", spy)
         simulate_resolution(vol, target)
-    (coords, values), = seen
-    return coords, values
+    coords, values = zip(*seen)
+    return np.concatenate(coords, axis=1), np.concatenate(values)
 
 
 def test_resample_identity_spacing_is_identity(rng):
@@ -207,6 +208,23 @@ def test_simulate_resolution_keeps_a_linear_ramp(axis):
     np.testing.assert_allclose(out[tuple(inner)], ramp[tuple(inner)], rtol=0, atol=1e-4)
 
 
+@pytest.mark.parametrize(
+    "block, tiles", [(augment._LINEAR_BLOCK, 1), (600, 4), (1, 12)], ids=["default", "few-planes", "one-plane"]
+)
+def test_simulate_resolution_in_tiles_matches_one_dense_grid(monkeypatch, block, tiles):
+    # the coarse grid is sampled a tile of x-planes at a time; each point
+    # samples on its own, so any tiling gives the dense grid's bytes
+    r = np.random.default_rng(12)
+    vol = Volume3D(r.random((30, 26, 22), dtype=np.float32) * 100.0, (0.8, 1.0, 1.25))
+    target = (2.1, 1.3, 3.7)
+    monkeypatch.setattr(augment, "_LINEAR_BLOCK", block)
+    calls = []
+    monkeypatch.setattr(augment, "sample_at_voxels", lambda *a, **k: calls.append(1) or sample_at_voxels(*a, **k))
+    got = simulate_resolution(vol, target).data
+    assert got.tobytes() == simulate_resolution_dense_ref(vol.data, vol.spacing, target).tobytes()
+    assert len(calls) == tiles  # 12 coarse x-planes of 20 x 8 voxels
+
+
 # scipy's map_coordinates is the oracle: sample_at_voxels does its arithmetic
 # and must match it bit for bit, -0.0 and the oob modes included
 ORACLE_GRIDS = [(1, 1, 1), (1, 5, 7), (4, 1, 1), (3, 9, 1), (6, 7, 5), (12, 3, 10)]
@@ -223,28 +241,83 @@ def test_sample_at_voxels_matches_scipy_bit_for_bit(dims, dtype):
     else:
         data = (r.standard_normal(dims) * 100.0).astype(dtype)
         data[r.random(dims) < 0.2] = -0.0
+        # NaN and +-inf on the hull's faces and one voxel inside them: an
+        # out-of-hull corner whose weight is zeroed but whose value is still
+        # read from the edge would turn a finite or infinite sample into NaN
+        for axis, n in enumerate(dims):
+            for plane in {p for p in (0, 1, n - 2, n - 1) if 0 <= p < n}:
+                face = [slice(None)] * 3
+                face[axis] = plane
+                spots = r.random(data[tuple(face)].shape)
+                data[tuple(face)][spots < 0.15] = np.nan
+                data[tuple(face)][(spots >= 0.15) & (spots < 0.3)] = np.inf
+                data[tuple(face)][(spots >= 0.3) & (spots < 0.45)] = -np.inf
     hull = [np.arange(-2.0, n + 2.0) for n in dims]
+    # per axis, points one voxel either side of the hull with the other two
+    # axes anywhere from a voxel outside to a voxel inside
+    band = []
+    for axis, n in enumerate(dims):
+        for lo in (-1.0, n - 1.0):
+            pts = np.stack([r.uniform(-1.0, m, 60) for m in dims])
+            pts[axis] = r.uniform(lo, lo + 1.0, 60)
+            band.append(pts)
     coords = np.concatenate([
         r.uniform(-3.0, max(dims) + 2.0, size=(3, 400)),
         np.stack([r.choice(h, 100) for h in hull]),  # integer
         np.stack([r.choice(h, 100) + 0.5 for h in hull]),  # half-integer
         r.choice([-1e6, -40.5, -1.0, 1e-9, 40.5, 1e6], size=(3, 60)),  # far out and at the edge
+        *band,
     ], axis=1)
     for coord_dtype in (np.float32, np.float64):
-        c = coords.astype(coord_dtype).reshape(3, 22, 30)
+        c = coords.astype(coord_dtype).reshape(3, 34, 30)
         for oob, mode in (("zero", "grid-constant"), ("clamp", "nearest")):
-            want = map_coordinates(data, c, order=0 if dtype is np.int32 else 1, mode=mode)
-            got = sample_at_voxels(data, c, oob)
-            assert got.dtype == want.dtype and got.shape == (22, 30)
-            assert got.tobytes() == want.tobytes(), (oob, coord_dtype)
+            with np.errstate(invalid="ignore"):  # inf - inf and inf * 0 are meant to give NaN here
+                want = map_coordinates(data, c, order=0 if dtype is np.int32 else 1, mode=mode)
+                got = sample_at_voxels(data, c, oob)
+            assert got.dtype == want.dtype and got.shape == (34, 30)
+            # a NaN's sign bit follows the order of its operations, so NaNs
+            # are compared by position and every other value bit for bit
+            nan = np.isnan(want) if dtype is not np.int32 else np.zeros(want.shape, bool)
+            assert np.array_equal(np.isnan(got) if dtype is not np.int32 else nan, nan), (oob, coord_dtype)
+            assert got[~nan].tobytes() == want[~nan].tobytes(), (oob, coord_dtype)
 
 
 @pytest.mark.parametrize("oob", ["zero", "clamp"])
-def test_float32_sampling_makes_no_float64_copy_of_its_source(oob):
-    # the padded float32 source is the one volume-sized buffer: a float64
-    # copy of it would double that and more
+def test_sampling_makes_no_copy_of_its_source(oob):
+    # the source is read where it lies: no padded, contiguous or float64
+    # copy, so nothing near the source's size is allocated; the points
+    # reach a voxel beyond the hull on every side, so the band path runs
     data = np.random.default_rng(3).random((64, 64, 64), dtype=np.float32)
     coords = np.random.default_rng(4).uniform(-3.0, 67.0, size=(3, 500))
-    padded_bytes = 68**3 * 4
     peak = traced_peak(sample_at_voxels, data, coords, oob)
-    assert padded_bytes <= peak < 1.25 * padded_bytes
+    assert peak < data.nbytes // 8
+
+
+@pytest.mark.parametrize("oob", ["zero", "clamp"])
+@pytest.mark.parametrize("chunk", [volume._CHUNK, 97], ids=["default-chunk", "small-chunk"])
+@pytest.mark.parametrize("dtype", [np.float32, np.uint8])
+def test_sampling_into_its_own_coordinates_matches_the_plain_call(monkeypatch, oob, chunk, dtype):
+    # the generator warps the intensity into its grid's spent x-channel: a
+    # chunk's coordinates are read before its results land on them, and the
+    # band's batches write only points already read.  A small chunk makes
+    # many chunks and batches; the points reach past the hull on every side.
+    r = np.random.default_rng(9)
+    data = (r.random((20, 18, 16)) * 200.0).astype(dtype)
+    coords = r.uniform(-3.0, 22.0, size=(3, 30, 40, 50)).astype(np.float32)
+    coords[:, :5] = r.integers(-2, 22, size=(3, 5, 40, 50))  # on the grid, and on the hull's faces
+    want = sample_at_voxels(data, coords, oob)
+    monkeypatch.setattr(volume, "_CHUNK", chunk)
+    if dtype is np.uint8:
+        out = np.empty(coords.shape[1:], dtype)
+        assert sample_at_voxels(data, coords, oob, out=out) is out
+        assert out.tobytes() == want.tobytes()
+        return
+    assert sample_at_voxels(data, coords.copy(), oob).tobytes() == want.tobytes()
+    got = sample_at_voxels(data, coords, oob, out=coords[0])
+    assert np.shares_memory(got, coords) and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("out", [np.empty((4, 5), np.float64), np.empty((5, 4), np.float32), np.empty((5, 4), np.float32).T])
+def test_sampling_rejects_an_out_it_cannot_fill(out):
+    with pytest.raises(ValueError, match="out must be C-contiguous float32 of shape"):
+        sample_at_voxels(np.zeros((3, 3, 3), np.float32), np.zeros((3, 4, 5)), out=out)
