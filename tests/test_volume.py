@@ -277,8 +277,8 @@ def test_sample_at_voxels_matches_scipy_bit_for_bit(dims, dtype):
             assert got.dtype == want.dtype and got.shape == (34, 30)
             # a NaN's sign bit follows the order of its operations, so NaNs
             # are compared by position and every other value bit for bit
-            nan = np.isnan(want) if dtype is not np.int32 else np.zeros(want.shape, bool)
-            assert np.array_equal(np.isnan(got) if dtype is not np.int32 else nan, nan), (oob, coord_dtype)
+            nan = np.isnan(want)
+            assert np.array_equal(np.isnan(got), nan), (oob, coord_dtype)
             assert got[~nan].tobytes() == want[~nan].tobytes(), (oob, coord_dtype)
 
 
