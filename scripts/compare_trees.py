@@ -11,7 +11,9 @@ both source trees over one command matrix:
   synthseg and randfabian x ``--profile`` synthseg, simple x
   ``--workers`` 1, 2;
 * ``cluster-inspect`` in the fetalsynthseg and synthseg modes;
-* ``epg`` on the 32^3 subject's labels;
+* ``epg`` on the 32^3 subject's labels, in the default randfabian mode
+  and with ``--config scripts/fabian_feta7.ini --mode fabian`` (reference
+  relaxometry for every tissue label);
 * ``evaluate`` on shifted copies of both label maps;
 * ``interpolate`` of two seeded checkpoints over the default alpha sweep;
 * ``generate --config scripts/nondefault.ini --profile synthseg``
@@ -63,6 +65,7 @@ from subjects import write_subjects  # noqa: E402
 GRIDS = [[[48, 40, 36], [1.0, 1.0, 1.0]], [[32, 32, 32], [1.0, 1.0, 1.0]]]
 NONDEFAULT_INI = os.path.join(ROOT, "scripts", "nondefault.ini")
 FABIAN_INI = os.path.join(ROOT, "scripts", "fabian.ini")
+FABIAN_FETA7_INI = os.path.join(ROOT, "scripts", "fabian_feta7.ini")
 WIDE_IDS_INI = os.path.join(ROOT, "scripts", "wide_ids.ini")
 # config_text of the INI file named by the first argument, or of the defaults
 CONFIG_TEXT = (
@@ -125,6 +128,9 @@ def commands(inputs: dict, out: str):
                   "--mode", mode, "--out-prefix", os.path.join(d, a.sid)]
     d = os.path.join(out, "epg")
     yield d, [*cli, "epg", "--labels", b.labels_path, "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
+    d = os.path.join(out, "epg-fabian")
+    yield d, [*cli, "epg", "--config", FABIAN_FETA7_INI, "--mode", "fabian", "--labels", b.labels_path,
+              "--out", os.path.join(d, f"{b.sid}_epg.nii.gz")]
     d = os.path.join(out, "evaluate")
     yield d, [*cli, "evaluate", "--manifest", inputs["manifest"], "--out", os.path.join(d, "report.tsv")]
     d = os.path.join(out, "interpolate")

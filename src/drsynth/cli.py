@@ -41,15 +41,15 @@ from .checkpoints import (
     write_checkpoint,
 )
 from .config import apply_sections, config_sections, read_sections
-from .epg import draw_sequence, render_epg_volume, sample_relaxometry
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError, prefixed
-from .fileio import atomic_write, read_file, read_text
+from .fileio import atomic_write, make_dirs, read_file, read_text
 from .generator import (
     PHYSICS_MODES,
     GenerationConfig,
     GeneratorMode,
     generate_sample,
     partition_subclasses,
+    render_physics,
 )
 from .labels import toy_label_map
 from .metrics import batch_evaluate, report_rows
@@ -259,7 +259,7 @@ def cmd_generate(args) -> int:
     subjects = discover_subjects(args.in_dir, skip_unreadable=args.skip_unreadable)
     if not subjects:
         raise EmptySample(f"no usable (image, labels) subject pairs in {args.in_dir!r}")
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
 
     tasks = [
         (*subjects[i % len(subjects)], cfg, i, args.out)
@@ -408,7 +408,7 @@ def cmd_interpolate(args) -> int:
         write_checkpoint(interpolate(a, b, alpha), args.out)
         print(f"wrote {args.out} (alpha {alpha:g})")
         return 0
-    os.makedirs(args.out, exist_ok=True)
+    make_dirs(args.out)
     for name, alpha in sweep.items():
         path = os.path.join(args.out, name)
         write_checkpoint(interpolate(a, b, alpha), path)
@@ -458,22 +458,16 @@ def cmd_evaluate(args) -> int:
 
 
 def cmd_epg(args) -> int:
+    """Render a label map through ``render_physics``, each label its own class, with sample 0's streams."""
     # epg starts from a physics mode, so only a Gaussian mode set in the file fails
     cfg = _load_generation_config(args, GenerationConfig(mode=GeneratorMode.RANDFABIAN))
     if cfg.mode not in PHYSICS_MODES:
         valid = ", ".join(m.value for m in PHYSICS_MODES)
         raise ConfigError(f"synthgen.mode: epg needs one of {valid}, got {cfg.mode.value!r}")
-    if args.labels:
-        labels = read_nifti(args.labels, scheme=LabelScheme.FETA7)
-    else:
-        labels = toy_label_map()
+    labels = read_nifti(args.labels, scheme=LabelScheme.FETA7) if args.labels else toy_label_map()
     ids = [int(i) for i in np.unique(labels.data) if i != 0]
-    seq = draw_sequence(cfg.sequence, make_stream(cfg.master_seed, 0, "sequence"))
-    relax = sample_relaxometry(
-        cfg.relaxometry, ids, make_stream(cfg.master_seed, 0, "relaxometry"),
-        reference=cfg.mode is GeneratorMode.FABIAN,
-    )
-    image = render_epg_volume(labels, relax, seq, voxelwise=cfg.epg_voxelwise)
+    stream = lambda stage: make_stream(cfg.master_seed, 0, stage)  # noqa: E731
+    image, seq = render_physics(labels, ids, cfg.relaxometry.reference, cfg, stream, {})
     write_nifti(image, args.out)
     print(
         f"wrote {args.out} (refocus {seq.refocus_schedule()[0]:.1f} deg, "

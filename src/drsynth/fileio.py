@@ -26,6 +26,14 @@ def read_text(path) -> str:
     return text.replace("\r\n", "\n").replace("\r", "\n")
 
 
+def make_dirs(path) -> None:
+    """``os.makedirs(path, exist_ok=True)``; a failure is an IoError naming ``path``."""
+    try:
+        os.makedirs(path, exist_ok=True)
+    except OSError as exc:
+        raise IoError(f"cannot create {path}: {exc.strerror or exc}") from exc
+
+
 def atomic_write(path, data: bytes | str | list) -> None:
     """Write ``data`` to a temporary sibling, then rename it onto ``path``.
 
@@ -47,4 +55,4 @@ def atomic_write(path, data: bytes | str | list) -> None:
     except OSError as exc:
         with contextlib.suppress(OSError):
             os.unlink(tmp)
-        raise IoError(f"cannot write {path}: {exc}") from exc
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc

@@ -126,6 +126,26 @@ def partition_subclasses(labels, intensity, cfg: GenerationConfig, rng) -> Subcl
     return split_meta_classes(labels, intensity, cfg.k_range, rng, k_range_by_class=per_class)
 
 
+def render_physics(label_map: LabelMap, ids, reference: dict, cfg: GenerationConfig, stream, drawn: dict):
+    """The physics modes' spin-echo stage; returns (volume, drawn sequence).
+
+    Draws the sequence from ``stream("sequence")``, then a (T1, T2, pd)
+    triple per id of ``ids``, ascending, from ``stream("relaxometry")``:
+    within ``reference[id]`` in fabian mode, else the global ranges.  An id
+    with no voxel still takes its draws, so ``ids`` is not read off
+    ``label_map``.  Both draws are recorded in ``drawn``.
+    """
+    seq = draw_sequence(cfg.sequence, stream("sequence"))
+    relax = sample_relaxometry(
+        replace(cfg.relaxometry, reference=reference), ids, stream("relaxometry"),
+        reference=cfg.mode is GeneratorMode.FABIAN,
+    )
+    image = render_epg_volume(label_map, relax, seq, voxelwise=cfg.epg_voxelwise)
+    drawn["sequence"] = asdict(seq)
+    drawn["relaxometry"] = {str(i): [r.t1_ms, r.t2_ms, r.pd] for i, r in sorted(relax.items())}
+    return image, seq
+
+
 class _StageClock:
     def __init__(self, sink: dict | None):
         self.sink = sink
@@ -152,15 +172,17 @@ def generate_sample(
     draws from its own stream keyed by (cfg.master_seed, sample_index,
     stage).  The returned labels are the deformed tissue labels, the image
     is min-max normalized to [0, 1], and ``drawn`` records every draw (the
-    sidecar's "drawn" block).  A label map with no foreground
-    raises EmptySample, a NaN or infinite intensity voxel
-    NonFiniteIntensity; anatomy deformed fully out of the field of view
-    yields an all-zero (still valid) sample.  A caller that passes its only
-    references to ``labels`` and ``intensity`` (as ``cli._render_task``
-    does) lets the sample free them once they are warped.  The warp makes
-    no volume-sized buffer beyond the grid and the warped labels: the
-    labels are warped first, then the intensity into the grid's spent
-    x-channel, which is copied out once the source is gone.
+    sidecar's "drawn" block).  The physics modes render the subclass map
+    with ``render_physics``, a subclass drawing from its generation class's
+    reference interval.  A label map with no foreground raises EmptySample,
+    a NaN or infinite intensity voxel NonFiniteIntensity; anatomy deformed
+    fully out of the field of view yields an all-zero (still valid) sample.
+    A caller that passes its only references to ``labels`` and
+    ``intensity`` (as ``cli._render_task`` does) lets the sample free them
+    once they are warped.  The warp makes no volume-sized buffer beyond the
+    grid and the warped labels: the labels are warped first, then the
+    intensity into the grid's spent x-channel, which is copied out once the
+    source is gone.
     """
     if labels.scheme is not LabelScheme.FETA7:
         raise InvalidRange(f"generation expects feta7 labels, got {labels.scheme.value}")
@@ -210,17 +232,9 @@ def generate_sample(
 
     # 3. contrast rendering
     if cfg.mode in PHYSICS_MODES:
-        seq = draw_sequence(cfg.sequence, stream("sequence"))
-        relax = _subclass_relaxometry(
-            partition, cfg.relaxometry, stream("relaxometry"), reference=cfg.mode is GeneratorMode.FABIAN
-        )
-        image = render_epg_volume(
-            partition.subclass_map, relax, seq, voxelwise=cfg.epg_voxelwise
-        )
-        drawn["sequence"] = asdict(seq)
-        drawn["relaxometry"] = {
-            str(i): [r.t1_ms, r.t2_ms, r.pd] for i, r in sorted(relax.items())
-        }
+        by_class = cfg.relaxometry.reference
+        reference = {s: by_class[c] for s, (c, _) in partition.subclass_to_class.items() if c in by_class}
+        image, _ = render_physics(partition.subclass_map, partition.ids(), reference, cfg, stream, drawn)
     else:
         params = sample_gmm_params(partition.ids(), cfg.mu_range, cfg.sigma_range, stream("gmm"))
         image = render_intensities(partition.subclass_map, params, stream("gmm_noise"))
@@ -261,20 +275,3 @@ def generate_sample(
     clock.lap("normalize")
 
     return SamplePair(image=image, labels=labels, drawn=drawn)
-
-
-def _subclass_relaxometry(partition, ranges, rng, reference: bool):
-    """Physics-mode draws happen per source class, shared by its subclasses.
-
-    Reference intervals are declared per generation class (meta id); each
-    subclass draws its own triple from its parent's interval, in subclass
-    id order.
-    """
-    by_subclass = {
-        sid: ranges.reference[cls]
-        for sid, (cls, _) in partition.subclass_to_class.items()
-        if cls in ranges.reference
-    }
-    # the randomized draw reads only the global ranges
-    return sample_relaxometry(replace(ranges, reference=by_subclass), partition.ids(), rng, reference=reference)
-

@@ -24,15 +24,19 @@ from drsynth.cli import (
     render_from_sidecar,
 )
 from drsynth.config import load_config
+from drsynth.epg import draw_sequence, render_epg_volume, sample_relaxometry
 from drsynth.errors import ConfigError, InputChanged, IoError
-from drsynth.generator import generate_sample
+from drsynth.generator import GenerationConfig, generate_sample
+from drsynth.labels import toy_label_map
 from drsynth.nifti import read_nifti, write_nifti
+from drsynth.rng import make_stream
 from drsynth.volume import LabelMap, LabelScheme
 
 from conftest import write_subject
 
 
 SRC = os.path.dirname(os.path.dirname(drsynth.__file__))
+SCRIPTS = os.path.join(os.path.dirname(SRC), "scripts")
 
 
 def run(capsys, *argv):
@@ -326,6 +330,29 @@ def test_sidecar_rerenders_bit_exactly(tmp_path, capsys):
     assert pair.labels.data.tobytes() == labels.data.tobytes()
 
 
+@pytest.mark.parametrize(
+    "flags",
+    [["--mode", "randfabian"], ["--mode", "fabian", "--config", os.path.join(SCRIPTS, "fabian.ini")]],
+    ids=["randfabian", "fabian"],
+)
+def test_physics_sidecars_rerender_bit_exactly(tmp_path, capsys, flags):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    write_subject(in_dir, "toy", dims=(16, 16, 16))
+    out_dir = tmp_path / "out"
+    code, _, err = run(
+        capsys, "generate", *flags, "--in", str(in_dir), "--out", str(out_dir), "--seed", "7", "--count", "2"
+    )
+    assert code == 0, err
+    for index in range(2):
+        base = out_dir / f"toy_s{index:05d}_seed7"
+        assert {"sequence", "relaxometry"} <= json.loads(base.with_suffix(".json").read_text())["drawn"].keys()
+        pair = render_from_sidecar(f"{base}.json")
+        assert pair.image.data.tobytes() == read_nifti(f"{base}_image.nii.gz").data.tobytes()
+        labels = read_nifti(f"{base}_labels.nii.gz", scheme=LabelScheme.FETA7)
+        assert pair.labels.data.tobytes() == labels.data.tobytes()
+
+
 @pytest.mark.parametrize("key", ["svf_control_points", "bias_control_points", "svf_steps"])
 def test_replay_of_a_sidecar_with_an_absurd_count_names_the_key(tmp_path, capsys, key):
     in_dir = tmp_path / "in"
@@ -452,6 +479,31 @@ def test_an_os_error_is_one_io_error_line(tmp_path, capsys):
     code, stdout, err = run(capsys, "generate", "--in", str(in_dir), "--out", str(taken))
     assert code == 1 and stdout == ""
     assert err.startswith("error: IoError: ") and str(taken) in err and err.count("\n") == 1
+
+
+def test_output_path_errors_name_the_path_and_the_reason(tmp_path, capsys):
+    in_dir = tmp_path / "in"
+    in_dir.mkdir()
+    img, lab = write_subject(in_dir, "toy", dims=(8, 8, 8))
+    manifest = tmp_path / "m.tsv"
+    manifest.write_text(f"toy\t{lab}\t{lab}\n")
+    pa, pb = write_pair_of_checkpoints(tmp_path)
+    afile, nodir = tmp_path / "afile", tmp_path / "nodir"
+    afile.write_text("a regular file, not a directory\n")
+    cases = [
+        (["epg", "--out", f"{nodir}/x.nii.gz"], f"cannot write {nodir}/x.nii.gz: No such file or directory"),
+        (["evaluate", "--manifest", str(manifest), "--out", f"{nodir}/r.tsv"],
+         f"cannot write {nodir}/r.tsv: No such file or directory"),
+        (["cluster-inspect", "--image", img, "--labels", lab, "--out-prefix", f"{afile}/toy"],
+         f"cannot write {afile}/toy_subclasses.nii.gz: Not a directory"),
+        (["generate", "--in", str(in_dir), "--out", str(afile)], f"cannot create {afile}: File exists"),
+        (["interpolate", pa, pb, "--out", str(afile)], f"cannot create {afile}: File exists"),
+        (["interpolate", pa, pb, "--out", f"{afile}/sweep"], f"cannot create {afile}/sweep: Not a directory"),
+    ]
+    for argv, message in cases:
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == (1, "", f"error: IoError: {message}\n"), argv
+    assert not nodir.exists() and sorted(os.listdir(tmp_path)) == ["a.ckpt", "afile", "b.ckpt", "in", "m.tsv"]
 
 
 def subjects_with_a_truncated_image(tmp_path):
@@ -957,6 +1009,34 @@ def test_epg_renders_toy_volume_deterministically(tmp_path, capsys):
     vol = read_nifti(out1)
     assert vol.dims == (32, 32, 32)
     assert vol.data.max() > 0
+
+
+@pytest.mark.parametrize("mode", ["randfabian", "fabian"])
+def test_epg_renders_each_label_with_sample_zero_draws(tmp_path, capsys, mode):
+    # each toy label 1..7 is its own class; fabian draws from its reference_<label> interval
+    ini = os.path.join(SCRIPTS, "fabian_feta7.ini")
+    out, ref = tmp_path / "epg.nii.gz", tmp_path / "ref.nii.gz"
+    code, _, err = run(capsys, "epg", "--config", ini, "--mode", mode, "--seed", "11", "--out", str(out))
+    assert code == 0, err
+    cfg = load_config(ini)
+    assert sorted(cfg.relaxometry.reference) == list(range(1, 8))
+    seq = draw_sequence(cfg.sequence, make_stream(11, 0, "sequence"))
+    relax = sample_relaxometry(
+        cfg.relaxometry, range(1, 8), make_stream(11, 0, "relaxometry"), reference=mode == "fabian"
+    )
+    write_nifti(render_epg_volume(toy_label_map(), relax, seq, voxelwise=cfg.epg_voxelwise), ref)
+    assert out.read_bytes() == ref.read_bytes()
+
+
+def test_epg_without_a_config_draws_like_the_default_config(tmp_path, capsys):
+    out, ref = tmp_path / "epg.nii.gz", tmp_path / "ref.nii.gz"
+    code, _, err = run(capsys, "epg", "--seed", "11", "--out", str(out))
+    assert code == 0, err
+    cfg = GenerationConfig()
+    seq = draw_sequence(cfg.sequence, make_stream(11, 0, "sequence"))
+    relax = sample_relaxometry(cfg.relaxometry, range(1, 8), make_stream(11, 0, "relaxometry"))
+    write_nifti(render_epg_volume(toy_label_map(), relax, seq, voxelwise=cfg.epg_voxelwise), ref)
+    assert out.read_bytes() == ref.read_bytes()
 
 
 def test_epg_fabian_needs_reference_intervals(tmp_path, capsys):
