@@ -1011,30 +1011,25 @@ def test_epg_renders_toy_volume_deterministically(tmp_path, capsys):
     assert vol.data.max() > 0
 
 
-@pytest.mark.parametrize("mode", ["randfabian", "fabian"])
-def test_epg_renders_each_label_with_sample_zero_draws(tmp_path, capsys, mode):
+FABIAN_FETA7_INI = os.path.join(SCRIPTS, "fabian_feta7.ini")
+
+
+@pytest.mark.parametrize(
+    "flags",
+    [[], ["--config", FABIAN_FETA7_INI, "--mode", "randfabian"], ["--config", FABIAN_FETA7_INI, "--mode", "fabian"]],
+    ids=["default", "randfabian", "fabian"],
+)
+def test_epg_renders_each_label_with_sample_zero_draws(tmp_path, capsys, flags):
     # each toy label 1..7 is its own class; fabian draws from its reference_<label> interval
-    ini = os.path.join(SCRIPTS, "fabian_feta7.ini")
     out, ref = tmp_path / "epg.nii.gz", tmp_path / "ref.nii.gz"
-    code, _, err = run(capsys, "epg", "--config", ini, "--mode", mode, "--seed", "11", "--out", str(out))
+    code, _, err = run(capsys, "epg", *flags, "--seed", "11", "--out", str(out))
     assert code == 0, err
-    cfg = load_config(ini)
-    assert sorted(cfg.relaxometry.reference) == list(range(1, 8))
+    cfg = load_config(FABIAN_FETA7_INI) if flags else GenerationConfig()
+    assert sorted(cfg.relaxometry.reference) == (list(range(1, 8)) if flags else [])
     seq = draw_sequence(cfg.sequence, make_stream(11, 0, "sequence"))
     relax = sample_relaxometry(
-        cfg.relaxometry, range(1, 8), make_stream(11, 0, "relaxometry"), reference=mode == "fabian"
+        cfg.relaxometry, range(1, 8), make_stream(11, 0, "relaxometry"), reference="fabian" in flags
     )
-    write_nifti(render_epg_volume(toy_label_map(), relax, seq, voxelwise=cfg.epg_voxelwise), ref)
-    assert out.read_bytes() == ref.read_bytes()
-
-
-def test_epg_without_a_config_draws_like_the_default_config(tmp_path, capsys):
-    out, ref = tmp_path / "epg.nii.gz", tmp_path / "ref.nii.gz"
-    code, _, err = run(capsys, "epg", "--seed", "11", "--out", str(out))
-    assert code == 0, err
-    cfg = GenerationConfig()
-    seq = draw_sequence(cfg.sequence, make_stream(11, 0, "sequence"))
-    relax = sample_relaxometry(cfg.relaxometry, range(1, 8), make_stream(11, 0, "relaxometry"))
     write_nifti(render_epg_volume(toy_label_map(), relax, seq, voxelwise=cfg.epg_voxelwise), ref)
     assert out.read_bytes() == ref.read_bytes()
 
