@@ -42,7 +42,7 @@ from .checkpoints import (
 )
 from .config import apply_sections, config_sections, read_sections
 from .errors import ConfigError, DrsynthError, EmptySample, InputChanged, IoError, prefixed
-from .fileio import atomic_write, make_dirs, read_file, read_text
+from .fileio import atomic_write, check_writable, make_dirs, read_file, read_text
 from .generator import (
     PHYSICS_MODES,
     GenerationConfig,
@@ -352,6 +352,8 @@ def bench_report(labels, intensity, cfg: GenerationConfig, samples: int, epg_sam
 
 def cmd_bench(args) -> int:
     _require_positive(samples=args.samples, epg_samples=args.epg_samples)
+    if args.out:
+        check_writable(args.out)
     cfg = _load_generation_config(args)
     subjects = discover_subjects(args.in_dir)
     if not subjects:
@@ -440,6 +442,8 @@ def read_manifest(path: str):
 
 
 def cmd_evaluate(args) -> int:
+    if args.out:
+        check_writable(args.out)
     triples = read_manifest(args.manifest)
     if not triples:
         raise EmptySample(f"manifest {args.manifest!r} lists no pairs")
@@ -459,6 +463,7 @@ def cmd_evaluate(args) -> int:
 
 def cmd_epg(args) -> int:
     """Render a label map through ``render_physics``, each label its own class, with sample 0's streams."""
+    check_writable(args.out)
     # epg starts from a physics mode, so only a Gaussian mode set in the file fails
     cfg = _load_generation_config(args, GenerationConfig(mode=GeneratorMode.RANDFABIAN))
     if cfg.mode not in PHYSICS_MODES:
@@ -477,12 +482,13 @@ def cmd_epg(args) -> int:
 
 
 def cmd_cluster_inspect(args) -> int:
+    out_map, out_json = f"{args.out_prefix}_subclasses.nii.gz", f"{args.out_prefix}_fit.json"
+    check_writable(out_map)
     cfg = _load_generation_config(args)
     part = partition_subclasses(
         *_read_subject(args.image, args.labels), cfg, make_stream(cfg.master_seed, 0, "subclass")
     )
 
-    out_map = f"{args.out_prefix}_subclasses.nii.gz"
     write_nifti(part.subclass_map, out_map)
     summary = {
         "mode": cfg.mode.value,
@@ -497,7 +503,6 @@ def cmd_cluster_inspect(args) -> int:
             for cls, fit in sorted(part.fits.items())
         },
     }
-    out_json = f"{args.out_prefix}_fit.json"
     atomic_write(out_json, json.dumps(summary, sort_keys=True, indent=2) + "\n")
     print(f"wrote {out_map} and {out_json} ({part.n_subclasses} subclasses)")
     return 0

@@ -8,6 +8,16 @@ block applies half-interval relaxation, a gradient dephasing shift, the
 refocusing rotation, a second shift, and the remaining half-interval
 relaxation.  The echo amplitude after block k is |F+(0)|.
 
+Only half of that lattice can reach an echo.  Shifts move every F order
+by one, the excitation fills order 0, and each refocusing pulse comes
+after an odd number of shifts and couples F and Z of one order.  So
+after s shifts the live states are the F orders of parity s and the odd
+Z orders; the even Z orders (Z(0) and its T1 regrowth included) and the
+F orders of the other parity only ever mix among themselves and are at
+order 0 only between echoes.  The kernel stores and updates the live
+half alone, with the same float operations on the same values in the
+same order, so its echoes are bit-identical to the full lattice's.
+
 Rendering maps a label volume plus per-class relaxometry (T1, T2, proton
 density) to intensities: each voxel gets pd x echo amplitude at the echo
 whose index is round(TE_eff / ESP).  One batched loop simulates a vector
@@ -187,37 +197,49 @@ def _rf_coefficients(flip_deg: float, about: str):
 
 
 class _EpgKernel:
-    """FSE recursion over configuration orders for a spin batch.
+    """FSE recursion for a spin batch over the half lattice that reaches the echo.
 
-    States are (n_orders, batch) arrays: ``fp`` holds F+ orders, ``fm``
-    the conjugated F- orders (so fm[0] == conj(fp[0])), ``z`` the
-    longitudinal orders.  Every step takes a window argument ``w`` and
-    touches orders [0, w) only; the caller restricts it to orders that
-    are reachable from equilibrium and can still rewind to order zero
-    before the last rendered echo, which leaves all emitted echoes
-    bit-identical to the untruncated recursion.
+    Only the live half is stored (module docstring): after s shifts, the
+    F orders of parity s and the odd Z orders.  The dead half never mixes
+    back into it, so every live value gets the same float operations in
+    the same order as in the full lattice, and so do the echoes.
 
+    States are (rows, batch) arrays: ``fp`` holds F+ and ``fm`` the
+    conjugated F- (so F+(0) == conj F-(0)) at orders 2j + (s mod 2), and
+    ``z`` holds Z at orders 2j + 1, so at a refocusing pulse row j of all
+    three is order 2j + 1.  A shift from even s to odd keeps F+ in place
+    and moves F- down one row; from odd to even it moves F+ up one row
+    and refills F+(0) from F-(0), which keeps its row.
+
+    Every step takes a row window ``h`` and touches rows [0, h) only; the
+    caller restricts it to rows that are reachable from equilibrium and
+    can still rewind to order zero before the last rendered echo, which
+    leaves all emitted echoes bit-identical to the untruncated recursion.
     Relaxation and shifts work in place.  An RF pulse writes the new
     transverse rows into two scratch arrays and then swaps them with
-    ``fp`` and ``fm``, so rows at and beyond ``w`` come from whichever
+    ``fp`` and ``fm``, so rows at and beyond ``h`` come from whichever
     buffer was swapped in.  That is exact because the window only grows
     over rows that no step has written in either buffer (both start at
     zero), and rows it has shrunk past are never read again.
     """
 
-    def __init__(self, n_orders: int, batch: int, dtype):
-        self.fp = np.zeros((n_orders, batch), dtype=dtype)
+    def __init__(self, rows: int, batch: int, dtype, excitation_deg: float):
+        self.fp = np.zeros((rows, batch), dtype=dtype)
         self.fm = np.zeros_like(self.fp)
         self.z = np.zeros_like(self.fp)
         self._s1 = np.zeros_like(self.fp)
         self._s2 = np.zeros_like(self.fp)
         self._t = np.empty_like(self.fp)
-        self.z[0] = 1.0
+        self._odd = False
+        # excitation about y of equilibrium Z(0) = 1 into F(0); Z(0) is dead after it
+        self.rotate(1, excitation_deg, "y", z=np.ones((1, batch), dtype=dtype))
 
-    def rotate(self, w: int, flip_deg: float, about: str) -> None:
+    def rotate(self, h: int, flip_deg: float, about: str, z=None) -> None:
+        """RF pulse on rows [0, h); ``z`` replaces the stored Z rows (the excitation's Z(0))."""
         rp, rm, rz = _rf_coefficients(flip_deg, about)
-        fp, fm, z = self.fp[:w], self.fm[:w], self.z[:w]
-        s1, s2, t = self._s1[:w], self._s2[:w], self._t[:w]
+        fp, fm = self.fp[:h], self.fm[:h]
+        z = self.z[:h] if z is None else z
+        s1, s2, t = self._s1[:h], self._s2[:h], self._t[:h]
         np.multiply(fp, rp[0], out=s1)
         np.multiply(fm, rp[1], out=t)
         s1 += t
@@ -240,20 +262,22 @@ class _EpgKernel:
         self.fp, self._s1 = self._s1, self.fp
         self.fm, self._s2 = self._s2, self.fm
 
-    def relax(self, w: int, e1, e2, regrow) -> None:
-        """T2 decay on transverse states, T1 decay + order-0 regrowth on Z."""
-        self.fp[:w] *= e2
-        self.fm[:w] *= e2
-        self.z[:w] *= e1
-        self.z[0] += regrow
+    def relax(self, h: int, e1, e2) -> None:
+        """T2 decay on transverse states, T1 decay on Z; the regrowth feeds only dead Z(0)."""
+        self.fp[:h] *= e2
+        self.fm[:h] *= e2
+        self.z[:h] *= e1
 
-    def shift(self, w: int) -> None:
+    def shift(self, h: int) -> None:
         """One dephasing increment: F+ orders up, conjugated F- down."""
         fp, fm = self.fp, self.fm
-        fp[1:w] = fp[: w - 1]
-        fm[: w - 1] = fm[1:w]
-        fm[w - 1] = 0.0
-        np.conjugate(fm[0], out=fp[0])
+        if self._odd:
+            fp[1:h] = fp[: h - 1]
+            np.conjugate(fm[0], out=fp[0])
+        else:
+            fm[: h - 1] = fm[1:h]
+            fm[h - 1] = 0.0
+        self._odd = not self._odd
 
 
 _COMPLEX_DTYPES = (np.dtype(np.complex64), np.dtype(np.complex128))
@@ -268,11 +292,13 @@ def epg_fse_echoes_batch(
 ) -> np.ndarray:
     """Echo amplitudes |F+(0)| for a batch of (T1, T2) pairs.
 
-    Returns shape (n_echoes, batch), float64.  Orders are allocated up to
-    n_echoes + 2 and each step runs on the window of orders that can
-    still influence a rendered echo (two order increments per echo
-    spacing, forward and backward), which reproduces the untruncated
-    recursion exactly; the tests verify this against a dense reference.
+    Returns shape (n_echoes, batch), float64.  Only the live half of the
+    lattice (F orders of the shift count's parity, odd Z orders; see
+    ``_EpgKernel``) is allocated, for orders up to n_echoes + 2, and each
+    step runs on the window of orders that can still influence a
+    rendered echo (two order increments per echo spacing, forward and
+    backward), which reproduces the untruncated recursion exactly; the
+    tests verify this against a dense reference.
     ``dtype`` selects the state precision: complex128 for analysis,
     complex64 for volume rendering throughput.
     """
@@ -297,23 +323,24 @@ def epg_fse_echoes_batch(
     e1 = np.exp(-half / t1).astype(real)
     e2 = np.exp(-half / t2).astype(real)
     # relaxation factors in the state dtype once, not converted on every multiply
-    e1, e2, regrow = (a.astype(dtype) for a in (e1, e2, 1.0 - e1))
+    e1, e2 = e1.astype(dtype), e2.astype(dtype)
 
     n_orders = n_echoes + 2
-    kern = _EpgKernel(n_orders, t1.size, dtype)
-    kern.rotate(1, seq.excitation_deg, about="y")
+    kern = _EpgKernel((n_orders + 1) // 2, t1.size, dtype, seq.excitation_deg)
 
     out = np.empty((n_echoes, t1.size), dtype=np.float64)
     for k in range(n_echoes):
         # Orders reachable by echo k: 2k + 2 (two shifts per spacing, +2
         # margin); orders able to return to order 0 by the last echo:
-        # 2(n_echoes - 1 - k) + 2, +2 margin.
+        # 2(n_echoes - 1 - k) + 2, +2 margin.  Rows of the half lattice
+        # cover the orders below w.
         w = min(2 * k + 5, 2 * (n_echoes - 1 - k) + 4, n_orders)
-        kern.relax(w, e1, e2, regrow)
-        kern.shift(w)
-        kern.rotate(w, float(sched[k]), about="x")
-        kern.shift(w)
-        kern.relax(w, e1, e2, regrow)
+        h = (w + 1) // 2
+        kern.relax(h, e1, e2)
+        kern.shift(h)
+        kern.rotate(h, float(sched[k]), about="x")
+        kern.shift(h)
+        kern.relax(h, e1, e2)
         out[k] = np.abs(kern.fp[0])
     return out
 
@@ -329,12 +356,13 @@ def epg_fse_echoes(relax: TissueRelaxometry, seq: EpgSequenceParams) -> np.ndarr
 # volume rendering
 
 
-# Spins per kernel call.  One order row of a complex64 state array is then
-# 16 KiB, so the arrays one step touches (about 0.5 MiB each at window 33)
-# stay in a 2 MiB L2 cache instead of streaming from memory.  Timed from
-# 512 to 16384 spins at echoes 15 and 49 (the ends of the default draw
-# range) and 31, 2048 was fastest or tied with 1024, and 16-28% faster
-# than 16384.
+# Spins per kernel call.  One row of a complex64 state array is then
+# 16 KiB, so each half-lattice array holds at most 0.27 MiB at echo 31
+# (17 rows) and 0.41 MiB at echo 49 (26 rows), and the arrays one step
+# touches stay in a 2 MiB L2 cache instead of streaming from memory.
+# Timed with the full lattice (twice the rows) from 512 to 16384 spins at
+# echoes 15 and 49 (the ends of the default draw range) and 31, 2048 was
+# fastest or tied with 1024, and 16-28% faster than 16384.
 _SPIN_BATCH = 2048
 
 

@@ -34,6 +34,27 @@ def make_dirs(path) -> None:
         raise IoError(f"cannot create {path}: {exc.strerror or exc}") from exc
 
 
+def _tmp_name(path: str) -> str:
+    return f"{path}.tmp.{os.getpid()}"
+
+
+def check_writable(path) -> None:
+    """Raise now the IoError ``atomic_write(path, ...)`` would raise for a directory it cannot write.
+
+    Creates and removes the temporary sibling ``atomic_write`` opens, so a
+    command can fail before any work with the exact line its write would
+    print after it (a missing directory, a file in its place, no
+    permission, a read-only file system).
+    """
+    path = str(path)
+    tmp = _tmp_name(path)
+    try:
+        open(tmp, "wb").close()
+    except OSError as exc:
+        raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
+    os.unlink(tmp)
+
+
 def atomic_write(path, data: bytes | str | list) -> None:
     """Write ``data`` to a temporary sibling, then rename it onto ``path``.
 
@@ -47,7 +68,7 @@ def atomic_write(path, data: bytes | str | list) -> None:
         data = data.encode("utf-8")
     if isinstance(data, bytes):
         data = [data]
-    tmp = f"{path}.tmp.{os.getpid()}"
+    tmp = _tmp_name(path)
     try:
         with open(tmp, "wb") as fh:
             fh.writelines(data)

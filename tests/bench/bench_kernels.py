@@ -14,8 +14,11 @@ refocusing angle and relaxometry ``drsynth epg`` draws for the toy map at
 seed 0 and renders a 64^3 toy map voxelwise, as the physics modes do: its
 175,616 foreground spins fill many kernel batches.  It runs at echo
 indices 15 and 49, the ends of the default TE_eff range, and 31 between
-them, since the cost per spin grows with the echo index.  EM fits one
-class of about 300k voxels with k=5, the size of a meta-class at 128^3.
+them, since the cost per spin grows with the echo index.  The EPG kernel
+alone runs one render batch (``epg._SPIN_BATCH`` spins, relaxometry drawn
+from the default randomized ranges) at the same three echo indices.  EM
+fits one class of about 300k voxels with k=5, the size of a meta-class
+at 128^3.
 The resampling and writing kernels run on the tests' toy subject at
 128^3: the warp samples it through a drawn affine and SVF, the resolution
 simulation blurs and resamples its intensity to a drawn target spacing,
@@ -34,7 +37,8 @@ from drsynth.augment import AffineRanges, ResolutionSim, SvfConfig, draw_affine,
 from drsynth.augment import draw_svf_control, gaussian_blur, integrate_velocity, simulate_resolution
 from drsynth.augment import svf_from_control
 from drsynth.augment import transform_coordinates, upsample_control_grid
-from drsynth.epg import RelaxometryRanges, SequenceRanges, draw_sequence
+from drsynth import epg
+from drsynth.epg import RelaxometryRanges, SequenceRanges, draw_sequence, epg_fse_echoes_batch
 from drsynth.epg import render_epg_volume, sample_relaxometry
 from drsynth.generator import GenerationConfig, generate_sample
 from drsynth.labels import em_cluster, toy_label_map
@@ -80,6 +84,20 @@ def test_render_epg_volume_voxelwise(benchmark, echo):
     )
     assert seq.echo_index == echo
     assert out.dims == labels.dims and np.isfinite(out.data).all()
+
+
+@pytest.mark.parametrize("echo", [15, 31, 49])
+def test_epg_fse_echoes_batch(benchmark, echo):
+    drawn = draw_sequence(SequenceRanges(), make_stream(0, 0, "sequence"))
+    seq = replace(drawn, te_eff_ms=echo * drawn.esp_ms)
+    ranges, rng = RelaxometryRanges(), np.random.default_rng(echo)
+    t1 = rng.uniform(*ranges.t1_range_ms, epg._SPIN_BATCH)
+    t2 = rng.uniform(*ranges.t2_range_ms, epg._SPIN_BATCH)
+    out = benchmark.pedantic(
+        epg_fse_echoes_batch, args=(t1, t2, seq), kwargs={"n_echoes": echo, "dtype": np.complex64},
+        rounds=15, warmup_rounds=2,
+    )
+    assert out.shape == (echo, epg._SPIN_BATCH) and np.isfinite(out).all()
 
 
 def test_em_cluster_one_class(benchmark):

@@ -506,6 +506,24 @@ def test_output_path_errors_name_the_path_and_the_reason(tmp_path, capsys):
     assert not nodir.exists() and sorted(os.listdir(tmp_path)) == ["a.ckpt", "afile", "b.ckpt", "in", "m.tsv"]
 
 
+def test_an_unwritable_output_fails_before_any_input_is_read(tmp_path, capsys):
+    # every input named here is missing, so reading one first would print
+    # its "cannot read" line instead of the output's
+    gone, nodir = tmp_path / "gone", tmp_path / "nodir"
+    cfg = ["--config", str(gone / "c.ini")]
+    cases = [
+        (["epg", *cfg, "--labels", str(gone / "l.nii.gz"), "--out", f"{nodir}/x.nii.gz"], f"{nodir}/x.nii.gz"),
+        (["bench", *cfg, "--in", str(gone), "--out", f"{nodir}/r.json"], f"{nodir}/r.json"),
+        (["evaluate", "--manifest", str(gone / "m.tsv"), "--out", f"{nodir}/r.tsv"], f"{nodir}/r.tsv"),
+        (["cluster-inspect", *cfg, "--image", str(gone / "i.nii.gz"), "--labels", str(gone / "l.nii.gz"),
+          "--out-prefix", f"{nodir}/toy"], f"{nodir}/toy_subclasses.nii.gz"),
+    ]
+    for argv, out in cases:
+        code, stdout, err = run(capsys, *argv)
+        assert (code, stdout, err) == (1, "", f"error: IoError: cannot write {out}: No such file or directory\n"), argv
+    assert os.listdir(tmp_path) == []
+
+
 def subjects_with_a_truncated_image(tmp_path):
     """An input directory with subject "good" and subject "bad", whose _image.nii.gz is cut in half."""
     in_dir = tmp_path / "in"

@@ -21,6 +21,7 @@ from drsynth.epg import (
 from drsynth.errors import InvalidRange, InvalidRelaxometry, MissingParams
 from drsynth.volume import LabelMap, LabelScheme
 
+from conftest import traced_peak
 from oracles import cpmg_closed_form, epg_echoes_dense, epg_fse_complex64_ref
 
 
@@ -114,18 +115,18 @@ def test_single_precision_tracks_double():
     np.testing.assert_allclose(lo, hi, rtol=2e-5, atol=1e-7)
 
 
-@pytest.mark.parametrize("refocus", [150.2, 180.0])
-@pytest.mark.parametrize("n_echoes", [1, 3, 31, 49])
-def test_complex64_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocus):
+def assert_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocus, excitation):
     # Every spin is elementwise over the batch, so neither the window nor
     # the batch size (one spin, a few, more than one render batch) may move
     # a bit; distinct spins show one spin differing, which the per-class
     # render comparison cannot.
-    seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=refocus, te_eff_ms=90.0)
+    seq = EpgSequenceParams(
+        esp_ms=6.12, etl=150, excitation_deg=excitation, refocus_deg=refocus, te_eff_ms=90.0
+    )
     rng = np.random.default_rng(n_echoes)
     n = epg._SPIN_BATCH + 5
     t1, t2 = rng.uniform(100.0, 5000.0, n), rng.uniform(10.0, 2000.0, n)
-    want = epg_fse_complex64_ref(t1, t2, seq.esp_ms, seq.excitation_deg, refocus, n_echoes)
+    want = epg_fse_complex64_ref(t1, t2, seq.esp_ms, excitation, refocus, n_echoes)
 
     def bits(lo, hi):
         got = epg_fse_echoes_batch(t1[lo:hi], t2[lo:hi], seq, n_echoes=n_echoes, dtype=np.complex64)
@@ -135,6 +136,32 @@ def test_complex64_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocu
     bits(0, 17)
     for j in range(17):
         bits(j, j + 1)
+
+
+@pytest.mark.parametrize("refocus", [150.2, 180.0])
+@pytest.mark.parametrize("n_echoes", [1, 2, 3, 4, 31, 49, 50, 150])
+def test_complex64_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocus):
+    # odd and even counts and the train's end put the window's top row at
+    # both order parities
+    assert_kernel_matches_untruncated_recursion_bitwise(n_echoes, refocus, 90.0)
+
+
+@pytest.mark.parametrize("n_echoes", [1, 2, 49, 150])
+def test_complex64_kernel_matches_untruncated_recursion_bitwise_after_70_degree_excitation(n_echoes):
+    # Z(0) keeps cos(70 deg) after excitation; like every even Z order it
+    # must never reach the echo
+    assert_kernel_matches_untruncated_recursion_bitwise(n_echoes, 163.0, 70.0)
+
+
+def test_kernel_stores_only_the_half_lattice_that_reaches_the_echo():
+    # At 49 echoes (the top of the default draw) and one render batch the
+    # full lattice's state arrays and scratch traced 6.38 MiB; the half
+    # that can reach F+(0) traces 3.83.
+    seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=160.0, te_eff_ms=300.0)
+    t1 = np.linspace(100.0, 5000.0, epg._SPIN_BATCH)
+    t2 = np.linspace(10.0, 2000.0, epg._SPIN_BATCH)
+    peak = traced_peak(epg_fse_echoes_batch, t1, t2, seq, n_echoes=49, dtype=np.complex64)
+    assert peak < 4.5 * 2**20
 
 
 def test_batch_input_validation():

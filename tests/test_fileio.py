@@ -4,7 +4,7 @@ import re
 import pytest
 
 from drsynth.errors import IoError
-from drsynth.fileio import atomic_write, make_dirs
+from drsynth.fileio import atomic_write, check_writable, make_dirs
 
 
 def test_a_failed_write_removes_its_temporary_file(tmp_path):
@@ -22,6 +22,20 @@ def test_a_write_into_a_missing_directory_names_the_path_not_its_temporary_file(
         atomic_write(target, b"data")
     assert str(info.value) == f"cannot write {target}: No such file or directory"
     assert os.listdir(tmp_path) == []
+
+
+def test_check_writable_raises_what_the_write_would_and_leaves_nothing(tmp_path):
+    afile = tmp_path / "afile"
+    afile.write_bytes(b"")
+    for target in (tmp_path / "nodir" / "x.nii.gz", afile / "x.json"):
+        with pytest.raises(IoError) as checked:
+            check_writable(target)
+        with pytest.raises(IoError) as written:
+            atomic_write(target, b"data")
+        assert str(checked.value) == str(written.value)
+    check_writable(tmp_path / "x.json")
+    check_writable(afile)  # an existing file is replaced, not touched
+    assert os.listdir(tmp_path) == ["afile"] and afile.read_bytes() == b""
 
 
 def test_make_dirs_makes_parents_and_keeps_an_existing_directory(tmp_path):
