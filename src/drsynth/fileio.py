@@ -49,10 +49,11 @@ def check_writable(path) -> None:
     path = str(path)
     tmp = _tmp_name(path)
     try:
-        open(tmp, "wb").close()
+        with open(tmp, "wb"):
+            pass
+        os.unlink(tmp)
     except OSError as exc:
         raise IoError(f"cannot write {path}: {exc.strerror or exc}") from exc
-    os.unlink(tmp)
 
 
 def atomic_write(path, data: bytes | str | list) -> None:

@@ -156,7 +156,7 @@ def test_complex64_kernel_matches_untruncated_recursion_bitwise_after_70_degree_
 def test_kernel_stores_only_the_half_lattice_that_reaches_the_echo():
     # At 49 echoes (the top of the default draw) and one render batch the
     # full lattice's state arrays and scratch traced 6.38 MiB; the half
-    # that can reach F+(0) traces 3.83.
+    # that can reach F+(0) traces 3.63.
     seq = EpgSequenceParams(esp_ms=6.12, etl=150, refocus_deg=160.0, te_eff_ms=300.0)
     t1 = np.linspace(100.0, 5000.0, epg._SPIN_BATCH)
     t2 = np.linspace(10.0, 2000.0, epg._SPIN_BATCH)

@@ -34,7 +34,7 @@ def test_check_writable_raises_what_the_write_would_and_leaves_nothing(tmp_path)
             atomic_write(target, b"data")
         assert str(checked.value) == str(written.value)
     check_writable(tmp_path / "x.json")
-    check_writable(afile)  # an existing file is replaced, not touched
+    check_writable(afile)  # an existing output is left as it was
     assert os.listdir(tmp_path) == ["afile"] and afile.read_bytes() == b""
 
 
