@@ -205,9 +205,9 @@ class _EpgKernel:
     the same order as in the full lattice, and so do the echoes.
 
     States are (rows, batch) arrays: ``fp`` holds F+ and ``fm`` the
-    conjugated F- (so F+(0) == conj F-(0)) at orders 2j + (s mod 2), and
-    ``z`` holds Z at orders 2j + 1, so at a refocusing pulse row j of all
-    three is order 2j + 1.  A shift from even s to odd keeps F+ in place
+    conjugated F- at orders 2j + (s mod 2) (so at even s, F+(0) ==
+    conj F-(0) sits in row 0 of both), and ``z`` holds Z at orders
+    2j + 1, so at a refocusing pulse row j of all three is order 2j + 1.  A shift from even s to odd keeps F+ in place
     and moves F- down one row; from odd to even it moves F+ up one row
     and refills F+(0) from F-(0), which keeps its row.
 
